@@ -49,7 +49,10 @@ def load_input(path: str):
         not isinstance(gens, list)
         or not gens
         or not all(
-            isinstance(v, list) and v and all(isinstance(e, int) for e in v)
+            isinstance(v, list)
+            and v
+            # JSON true/false load as bool, a subclass of int
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in v)
             for v in gens
         )
     ):
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, prime=False):
         p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--budget", type=int, default=10000, help="gamma search budget")
+        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if prime:
             p.add_argument("--prime", type=int, required=True)

@@ -16,7 +16,9 @@ class DimensionMismatchError(ValueError):
 class BudgetExhaustedError(RuntimeError):
     """The gamma search ran out of candidates before finding a certificate.
 
-    Carries how far the search got so the failure is reproducible.
+    Carries how far the search got so the failure is reproducible: the
+    number of candidates examined and the largest grading level among
+    them (candidates are not examined in grading order).
     """
 
     def __init__(self, examined: int, max_level: int):
@@ -24,5 +26,5 @@ class BudgetExhaustedError(RuntimeError):
         self.max_level = max_level
         super().__init__(
             f"no valid gamma among {examined} candidates "
-            f"(search exhausted up to grading level {max_level})"
+            f"(largest grading level examined: {max_level})"
         )

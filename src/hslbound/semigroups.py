@@ -80,7 +80,8 @@ def build(raw_generators) -> AffineSemigroup:
     if not is_pointed(cone):
         raise NotPointedError("the cone generated by the input contains a line")
     grading = cone.grading
-    assert all(dot(grading, g) > 0 for g in gens)
+    if not all(dot(grading, g) > 0 for g in gens):
+        raise AssertionError("grading is not positive on every generator")
     return AffineSemigroup(raws, basis, gens, cone, grading)
 
 
@@ -223,19 +224,23 @@ class GammaCertificate:
         return self.m_q == max(self.facet_values)
 
 
-def _certificate(S, gamma, residues) -> GammaCertificate | None:
-    if not member(S, gamma):
-        return None
-    witnesses = []
-    for rho in sorted(residues, key=lambda r: (dot(S.grading, r), r)):
-        pt = vec_add(gamma, rho)
-        if not member(S, pt):
-            return None
-        witnesses.append((rho, express(S, pt)))
+def _ordered_residues(S: AffineSemigroup) -> list[IntVector]:
+    """The saturation residues by grading, then lexicographically: the
+    order in which candidates are tested and witnesses are listed."""
+    return sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
+
+
+def _valid(S, gamma, residues) -> bool:
+    """gamma and gamma + rho lie in the semigroup for every residue rho;
+    stops at the first residue that fails."""
+    return member(S, gamma) and all(member(S, vec_add(gamma, rho)) for rho in residues)
+
+
+def _certify(S, gamma, residues) -> GammaCertificate:
+    """Witnesses for a gamma that passed _valid, residue by residue."""
+    witnesses = tuple((rho, express(S, vec_add(gamma, rho))) for rho in residues)
     values = tuple(dot(u, gamma) for u in S.support_forms)
-    return GammaCertificate(
-        gamma, express(S, gamma), values, max(values), tuple(witnesses)
-    )
+    return GammaCertificate(gamma, express(S, gamma), values, max(values), witnesses)
 
 
 def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
@@ -246,42 +251,49 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     (gamma + rho) + q.  Conversely each rho is itself a saturation point.
     """
     gamma = tuple(int(e) for e in gamma)
-    return _certificate(S, gamma, saturation_residues(S).residues)
+    residues = _ordered_residues(S)
+    return _certify(S, gamma, residues) if _valid(S, gamma, residues) else None
 
 
 def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
-    """Search the semigroup by grading level for the best certificate.
+    """The certificate of the valid gamma with the least key
+    (max_i u_i(gamma), grading . gamma, gamma).
 
-    Candidates are enumerated breadth-first over generator sums.  After
-    the first hit the search keeps going, minimizing m_q, but stops early
-    once the grading level alone rules out any improvement
-    (max_i u_i(gamma) >= level / #facets).
+    Candidates are generator sums, popped best-first by that key.  Every
+    support form is nonnegative, and the grading positive, on every
+    generator, so a generator step strictly raises the key: candidates pop
+    in key order, and the first one that passes (gamma + rho in the
+    semigroup for every residue rho) is optimal.  Candidates are only
+    tested, with the cached membership walk; witnesses are built for the
+    winner alone.
+
+    budget is the number of candidates popped.  When it runs out first,
+    BudgetExhaustedError reports that count and the largest grading level
+    popped.
     """
-    residues = saturation_residues(S).residues
-    r = len(S.support_forms)
-    heap: list[tuple[int, IntVector]] = [(0, S.zero)]
+    residues = _ordered_residues(S)
+    steps = [
+        (tuple(dot(u, g) for u in S.support_forms), dot(S.grading, g), g)
+        for g in S.generators
+    ]
+    # entries are (max facet value, grading level, gamma, facet values)
+    heap = [(0, 0, S.zero, (0,) * len(S.support_forms))]
     seen = {S.zero}
-    best: GammaCertificate | None = None
     examined = 0
-    level = 0
+    max_level = 0
     while heap and examined < budget:
-        level, gamma = heapq.heappop(heap)
-        if best is not None and level >= r * best.m_q:
-            break
+        _, level, gamma, values = heapq.heappop(heap)
         examined += 1
-        cert = _certificate(S, gamma, residues)
-        if cert is not None and (
-            best is None or (cert.m_q, level, gamma) < (best.m_q, dot(S.grading, best.gamma), best.gamma)
-        ):
-            best = cert
-        for g in S.generators:
+        max_level = max(max_level, level)
+        if _valid(S, gamma, residues):
+            return _certify(S, gamma, residues)
+        for step_values, step_level, g in steps:
             nxt = vec_add(gamma, g)
             if nxt not in seen:
                 seen.add(nxt)
-                heapq.heappush(heap, (level + dot(S.grading, g), nxt))
-    if best is None:
-        raise BudgetExhaustedError(examined, level)
-    return best
+                nxt_values = vec_add(values, step_values)
+                heapq.heappush(heap, (max(nxt_values), level + step_level, nxt, nxt_values))
+    raise BudgetExhaustedError(examined, max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +329,20 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     if n == 1:
         return FacetData(i, u, idxs, fgens, (), (), (), S.zero)
     basis = kernel_basis((u,))
-    assert len(basis) == n - 1
+    if len(basis) != n - 1:
+        raise AssertionError(f"facet {i}: hyperplane lattice has rank {len(basis)}, not {n - 1}")
     coords = matrix([solve_in_lattice(basis, g) for g in fgens])
-    assert len(fgens) >= n - 1 and matrix_rank(coords) == n - 1
+    if len(fgens) < n - 1 or matrix_rank(coords) != n - 1:
+        raise AssertionError(f"facet {i}: facet generators do not span the hyperplane")
     factors = smith_normal_form(coords).invariant_factors
-    assert all(d > 0 for d in factors)
+    if not all(d > 0 for d in factors):
+        raise AssertionError(f"facet {i}: zero invariant factor in {factors}")
     interior = S.zero
     for g in fgens:
         interior = vec_add(interior, g)
     for j, other in enumerate(S.support_forms):
-        if j != i:
-            assert dot(other, interior) > 0
+        if j != i and dot(other, interior) <= 0:
+            raise AssertionError(f"facet {i}: generator sum lies on facet {j}")
     return FacetData(i, u, idxs, fgens, basis, coords, factors, interior)
 
 

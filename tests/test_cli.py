@@ -128,7 +128,13 @@ def test_invalid_inputs_exit_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(capsys, "analyze", "--input", str(bad))[0] == 1
     assert run(capsys, "analyze", "--input", str(tmp_path / "missing.json"))[0] == 1
-    for doc in ({}, {"generators": []}, {"generators": [[1], [1, 2]]}, {"generators": [[0, 0]]}):
+    for doc in (
+        {},
+        {"generators": []},
+        {"generators": [[1], [1, 2]]},
+        {"generators": [[0, 0]]},
+        {"generators": [[True, False], [False, True]]},
+    ):
         path = write_input(tmp_path, doc, "doc.json")
         assert run(capsys, "analyze", "--input", path)[0] == 1, doc
 

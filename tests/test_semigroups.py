@@ -164,6 +164,44 @@ def test_find_gamma(wedge, ns35, ns23, ns479):
 def test_find_gamma_budget():
     with pytest.raises(BudgetExhaustedError):
         find_gamma(build(((3,), (5,))), budget=0)
+    # candidates 0, 3, 5, 6 fail; 8 would be the fifth pop
+    with pytest.raises(BudgetExhaustedError) as info:
+        find_gamma(build(((3,), (5,))), budget=4)
+    assert info.value.examined == 4 and info.value.max_level == 6
+    assert find_gamma(build(((3,), (5,))), budget=5).gamma == (8,)
+
+
+def wedge_gens(k):
+    return ((k, 1), (k - 1, 1), (1, k - 2), (1, k - 1))
+
+
+def gamma_key(S, cert):
+    return (cert.m_q, dot(S.grading, cert.gamma), cert.gamma)
+
+
+@pytest.mark.parametrize("name", ["wedge", "ns35", "ns23", "ns479", "W_7"])
+def test_find_gamma_is_optimal_against_enumeration(name, request):
+    S = build(wedge_gens(7)) if name == "W_7" else request.getfixturevalue(name)
+    cert = find_gamma(S)
+    # the grading is the sum of the support forms, so every gamma with
+    # max_i u_i(gamma) <= m_Q has grading at most r * m_Q
+    r = len(S.support_forms)
+    assert S.grading == tuple(map(sum, zip(*S.support_forms)))
+    candidates = semigroup_elements_upto(S.generators, S.grading, r * cert.m_q)
+    valid = [c for c in (verify_gamma(S, g) for g in candidates) if c is not None]
+    best = min(valid, key=lambda c: gamma_key(S, c))
+    assert gamma_key(S, cert) == gamma_key(S, best)
+    assert cert == best
+
+
+def test_find_gamma_w13_optimal_at_default_budget():
+    # in grading order the optimum lies beyond the first 10000 candidates
+    # (the first valid one there has m_Q 1579); in key order it is the
+    # 4433rd
+    S = build(wedge_gens(13))
+    cert = find_gamma(S)
+    assert cert.m_q == 1573 and cert.gamma == (142, 131)
+    assert cert.recheck(S)
 
 
 def test_facet_data_wedge(wedge):
