@@ -18,9 +18,10 @@ import sys
 from .cohomology import empirical_hsl, hsl_exact_dim1, theoretical_bound
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import is_prime
-from .semigroups import AffineSemigroup, all_facet_data, find_gamma, n_q
+from .semigroups import AffineSemigroup, all_facet_data, build, find_gamma, n_q
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
+MAX_WINDOW_DEGREES = 10**6  # verify refuses a window of more degrees, (2w+1)^rank
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +127,6 @@ def emit_report(doc: dict, fmt: str) -> None:
 
 
 def _pipeline(args):
-    from .semigroups import build
-
     gens = load_input(args.input)
     S = build(gens)
     cert = find_gamma(S, budget=args.budget)
@@ -162,7 +161,21 @@ def cmd_verify(args) -> int:
     if args.window < 1:
         print("error: --window must be at least 1", file=sys.stderr)
         return 1
-    S, cert, facets = _pipeline(args)
+    for flag, value in (("--emax", args.emax), ("--cap", args.cap)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return 1
+    S = build(load_input(args.input))
+    degrees = (2 * args.window + 1) ** S.dim
+    if degrees > MAX_WINDOW_DEGREES:
+        print(
+            f"error: --window {args.window} at rank {S.dim} spans {degrees} degrees,"
+            f" more than the limit of {MAX_WINDOW_DEGREES}",
+            file=sys.stderr,
+        )
+        return 1
+    cert = find_gamma(S, budget=args.budget)
+    facets = all_facet_data(S)
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, args.prime)
     e_max = args.emax
@@ -178,8 +191,6 @@ def cmd_dim1(args) -> int:
     if not is_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return 1
-    from .semigroups import build
-
     S = build(load_input(args.input))
     if S.dim != 1:
         print(f"error: input has rank {S.dim}, not 1", file=sys.stderr)
@@ -203,9 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bound", help="nilpotence bound for one prime"), prime=True)
     verify = sub.add_parser("verify", help="window sweep against the bound")
     common(verify, prime=True)
-    verify.add_argument("--window", type=int, default=10, help="degree box radius")
-    verify.add_argument("--emax", type=int, default=None, help="largest Frobenius power")
-    verify.add_argument("--cap", type=int, default=None, help="witness search cap")
+    verify.add_argument(
+        "--window",
+        type=int,
+        default=10,
+        help=f"degree box radius; (2*window+1)^rank may be at most {MAX_WINDOW_DEGREES}",
+    )
+    verify.add_argument("--emax", type=int, default=None, help="largest Frobenius power (>= 0)")
+    verify.add_argument("--cap", type=int, default=None, help="witness search cap (>= 0)")
     common(sub.add_parser("dim1", help="exact answer for rank-1 input"), prime=True)
     return parser
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cones import classify
+from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
 from .intlinalg import IntVector, dot, smith_normal_form, solve_in_lattice, vec_add, vec_mat, vec_scale
 from .semigroups import (
@@ -62,7 +62,8 @@ class ZeroClassResult:
 
     def recheck(self, S: AffineSemigroup, facets, v) -> bool:
         """Independent validation of the verdict's evidence."""
-        signs = [dot(u, v) for u in S.support_forms]
+        signs = sign_vector(S.cone, v)
+        neg = neg_region(signs)
         if self.verdict == "zero":
             fd = facets[self.facet]
             total = S.zero
@@ -76,15 +77,12 @@ class ZeroClassResult:
                 return False
             return member(S, vec_add(v, self.witness))
         if self.certificate == "neg_interior":
-            return all(s < 0 for s in signs)
+            return neg.kind == "neg_interior"
         if self.certificate == "boundary_lattice":
-            if not all(s <= 0 for s in signs):
-                return False
-            zeros = tuple(i for i, s in enumerate(signs) if s == 0)
-            if self.checked_facets != zeros:
+            if neg.kind == "outside_neg" or self.checked_facets != neg.zero_facets:
                 return False
             return all(
-                facet_witness_combo(facets[i], v) is None for i in zeros
+                facet_witness_combo(facets[i], v) is None for i in neg.zero_facets
             )
         if self.certificate == "finite_facets":
             eligible = [i for i, s in enumerate(signs) if s >= 0]
@@ -94,6 +92,19 @@ class ZeroClassResult:
 
 def _zero(facet, witness, coeffs):
     return ZeroClassResult("zero", facet=facet, witness=witness, witness_coeffs=coeffs)
+
+
+def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
+    """The first facet i with u_i(v) >= u_i(gamma), or None.
+
+    For v outside -sigma such a facet kills [x^v]: a multiple of its
+    interior element lifts every other form to its gamma value, so v plus
+    that multiple lies in gamma + saturation, hence in the semigroup.
+    """
+    for i, (s, fv) in enumerate(zip(signs, cert.facet_values)):
+        if s >= fv:
+            return i
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -147,17 +158,17 @@ def zero_class(
       answer Unknown when the search is truncated.
     """
     v = tuple(int(e) for e in v)
-    signs = tuple(dot(u, v) for u in S.support_forms)
+    signs = sign_vector(S.cone, v)
     if all(s >= 0 for s in signs):
         # v is in the cone, so the only possible witness facets are all of
         # them; membership itself settles the w = 0 case
         if all(s >= fv for s, fv in zip(signs, cert.facet_values)) or member(S, v):
             return _zero(0, S.zero, (0,) * len(facets[0].facet_gens))
-    if all(s < 0 for s in signs):
+    neg = neg_region(signs)
+    if neg.kind == "neg_interior":
         return ZeroClassResult("nonzero", certificate="neg_interior")
-    if all(s <= 0 for s in signs):
-        zeros = tuple(i for i, s in enumerate(signs) if s == 0)
-        for i in zeros:
+    if neg.kind == "neg_boundary":
+        for i in neg.zero_facets:
             combo = facet_witness_combo(facets[i], v)
             if combo is None:
                 continue
@@ -167,19 +178,19 @@ def zero_class(
                 w = vec_add(w, vec_scale(g, c))
             return _zero(i, w, coeffs)
         return ZeroClassResult(
-            "nonzero", certificate="boundary_lattice", checked_facets=zeros
+            "nonzero", certificate="boundary_lattice", checked_facets=neg.zero_facets
         )
     # outside -sigma: constructive route via the gamma certificate
-    for i, (s, fv) in enumerate(zip(signs, cert.facet_values)):
-        if s < fv:
-            continue
+    i = _constructive_facet(signs, cert)
+    if i is not None:
         wstar = facets[i].interior_element
         lam = 0
         for j, (sj, fj) in enumerate(zip(signs, cert.facet_values)):
             if j == i or sj >= fj:
                 continue
             step = dot(S.support_forms[j], wstar)
-            assert step > 0
+            if step <= 0:
+                raise AssertionError(f"facet {i}: interior element has form {j} value {step}")
             need = fj - sj
             lam = max(lam, -(-need // step))
         w = vec_scale(wstar, lam)
@@ -226,10 +237,6 @@ class OrbitReport:
     kind: str
     order: int | None
 
-    @property
-    def nilpotency_order(self) -> int | None:
-        return self.order
-
 
 def _p_adic_valuation(x: int, p: int) -> int:
     k = 0
@@ -253,7 +260,8 @@ def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
             cand = 0 if not any(v) else None
         else:
             a = solve_in_lattice(fd.hyperplane_basis, v)
-            assert a is not None
+            if a is None:
+                raise AssertionError(f"facet {i}: {v} is not in the hyperplane lattice")
             snf = smith_normal_form(fd.coord_matrix)
             y = vec_mat(a, snf.v)
             cand = 0
@@ -290,8 +298,8 @@ def frobenius_orbit(
     zero via the constructive witness; that is asserted, not assumed.
     """
     v = tuple(int(e) for e in v)
-    signs = tuple(dot(u, v) for u in S.support_forms)
-    outside = any(s > 0 for s in signs)
+    neg = neg_region(sign_vector(S.cone, v))
+    outside = neg.kind == "outside_neg"
     statuses: list[ZeroClassResult] = []
     first_zero: int | None = None
     power = 1
@@ -313,18 +321,22 @@ def frobenius_orbit(
             )
         statuses.append(st)
         power *= p
-    if all(s < 0 for s in signs):
+    if neg.kind == "neg_interior":
         kind, order = "not_nilpotent", None
-    elif all(s <= 0 for s in signs):
-        zeros = tuple(i for i, s in enumerate(signs) if s == 0)
-        exact = _boundary_nilpotency(S, facets, v, p, zeros)
+    elif neg.kind == "neg_boundary":
+        exact = _boundary_nilpotency(S, facets, v, p, neg.zero_facets)
         if exact is None:
             kind, order = "not_nilpotent", None
-            assert first_zero is None
+            if first_zero is not None:
+                raise AssertionError(
+                    f"boundary degree {v}: level {first_zero} is zero, lattice order is infinite"
+                )
         else:
             kind, order = "nilpotent", exact
-            if exact <= e_max:
-                assert first_zero == exact
+            if exact <= e_max and first_zero != exact:
+                raise AssertionError(
+                    f"boundary degree {v}: lattice order {exact}, first zero level {first_zero}"
+                )
     elif first_zero is not None:
         kind, order = "nilpotent", first_zero
     else:
@@ -343,7 +355,11 @@ def theoretical_bound(cert: GammaCertificate, nq: int, p: int) -> int | None:
     """
     if p <= nq:
         return None
-    m = cert.m_q
+    return _least_exponent(cert.m_q, p)
+
+
+def _least_exponent(m: int, p: int) -> int:
+    """The least e with p^e >= m."""
     e = 0
     power = 1
     while power < m:
@@ -392,6 +408,23 @@ class HslReport:
         }
 
 
+def _first_zero(S, cert, facets, v, signs, p, e_max, cap) -> int | None:
+    """Least e <= e_max with [x^{p^e v}] zero, for v outside -sigma.
+
+    The signs of p^e v are p^e times those of v.  A level where the
+    constructive facet test passes on them is zero without a witness
+    being built; any other level is decided by zero_class.
+    """
+    power = 1
+    for e in range(e_max + 1):
+        if _constructive_facet(tuple(s * power for s in signs), cert) is not None:
+            return e
+        if zero_class(S, cert, facets, vec_scale(v, power), cap).is_zero:
+            return e
+        power *= p
+    return None
+
+
 def empirical_hsl(
     S: AffineSemigroup,
     cert: GammaCertificate,
@@ -401,7 +434,19 @@ def empirical_hsl(
     e_max: int,
     cap: int,
 ) -> HslReport:
-    """Sweep all degrees in [-window, window]^n and tally orbit behavior.
+    """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
+
+    The report is the one per-degree frobenius_orbit calls would give,
+    but only orders are computed.  Each degree's sign vector is computed
+    once and its region relative to -sigma read off it:
+
+    * neg_interior: not nilpotent, since interior classes never vanish;
+    * neg_boundary: frobenius_orbit, which cross-checks the exact lattice
+      order against the levels it computes;
+    * outside -sigma: the chain v, p v, p^2 v, ... is walked up to its
+      first zero level, at most e_max, and no witness is kept.  As in
+      frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max, means
+      the constructive witness failed, and raises AssertionError.
 
     Degrees are visited in a fixed lexicographic order, so reports are
     deterministic and independent of any execution interleaving.
@@ -410,28 +455,41 @@ def empirical_hsl(
 
     nq = compute_nq(S, facets)
     bound = theoretical_bound(cert, nq, p)
+    e_witness = _least_exponent(cert.m_q, p)
     region_counts = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
     class_counts = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
     emp_max = 0
     violations = []
     flags = []
     for v in product(range(-window, window + 1), repeat=S.dim):
-        _, neg = classify(S.cone, v)
+        signs = sign_vector(S.cone, v)
+        neg = neg_region(signs)
         region_counts[neg.kind] += 1
-        orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
-        class_counts[orbit.kind] += 1
-        if orbit.kind == "nilpotent":
-            emp_max = max(emp_max, orbit.order)
-            if bound is not None and orbit.order > bound:
-                violations.append((v, orbit.order))
-        if bound is None and neg.kind == "neg_boundary":
-            if any(
+        if neg.kind == "neg_interior":
+            kind, order = "not_nilpotent", None
+        elif neg.kind == "neg_boundary":
+            orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+            kind, order = orbit.kind, orbit.order
+            if bound is None and any(
                 d % p == 0
                 for i in neg.zero_facets
                 for d in facets[i].invariant_factors
                 if d > 1
             ):
                 flags.append(v)
+        else:
+            order = _first_zero(S, cert, facets, v, signs, p, e_max, cap)
+            last_nonzero = e_max if order is None else order - 1
+            if e_witness <= last_nonzero:
+                raise AssertionError(
+                    f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
+                )
+            kind = "unknown" if order is None else "nilpotent"
+        class_counts[kind] += 1
+        if kind == "nilpotent":
+            emp_max = max(emp_max, order)
+            if bound is not None and order > bound:
+                violations.append((v, order))
     return HslReport(
         p,
         window,

@@ -169,7 +169,8 @@ def support_forms(generators, n: int) -> IntMatrix:
                     )
             rays = [r for r, _ in plus] + zero + combos
         rays = _prune_rays(rays, processed, n, len(lineality))
-    assert not lineality, "generators were checked to span rank n"
+    if lineality:
+        raise AssertionError("generators span rank n, yet the dual cone has a lineality space")
     return tuple(sorted(rays))
 
 
@@ -208,26 +209,37 @@ def is_pointed(cone: Cone) -> bool:
 # region classification
 
 
+def sign_vector(cone: Cone, v) -> IntVector:
+    """The support form values (u_i(v))_i.
+
+    They decide v's region relative to the cone and to its negative, and
+    they scale with v: the sign vector of p*v is p times that of v.
+    """
+    return tuple(dot(u, v) for u in cone.support_forms)
+
+
+def neg_region(signs) -> RegionTag:
+    """Tag relative to the negated cone of a degree with sign vector signs."""
+    if all(s < 0 for s in signs):
+        return RegionTag("neg_interior")
+    if all(s <= 0 for s in signs):
+        return RegionTag("neg_boundary", tuple(i for i, s in enumerate(signs) if s == 0))
+    return RegionTag("outside_neg")
+
+
 def classify(cone: Cone, v) -> tuple[RegionTag, RegionTag]:
     """Tags of v relative to the cone and to its negative.
 
     Both tags are read off the exact signs of the support form values.
     """
-    signs = tuple(dot(u, v) for u in cone.support_forms)
-    zeros = tuple(i for i, s in enumerate(signs) if s == 0)
+    signs = sign_vector(cone, v)
     if all(s > 0 for s in signs):
         sigma = RegionTag("sigma_interior")
     elif all(s >= 0 for s in signs):
-        sigma = RegionTag("sigma_boundary", zeros)
+        sigma = RegionTag("sigma_boundary", tuple(i for i, s in enumerate(signs) if s == 0))
     else:
         sigma = RegionTag("outside_sigma")
-    if all(s < 0 for s in signs):
-        neg = RegionTag("neg_interior")
-    elif all(s <= 0 for s in signs):
-        neg = RegionTag("neg_boundary", zeros)
-    else:
-        neg = RegionTag("outside_neg")
-    return sigma, neg
+    return sigma, neg_region(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +292,8 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     out = []
     for S in simplices:
         d = abs(det(matrix([rays[i] for i in S])))
-        assert d > 0
+        if d == 0:
+            raise AssertionError(f"triangulation produced a degenerate simplex {S}")
         out.append(SimplicialSubcone(S, d))
     return tuple(out)
 
@@ -305,7 +318,10 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
         mu = solve_rational(R, x)
         fl = tuple(math.floor(f) for f in mu)
         pts.append(vec_sub(x, mat_vec(R, fl)))
-    assert len(set(pts)) == sub.determinant
+    if len(set(pts)) != sub.determinant:
+        raise AssertionError(
+            f"{len(set(pts))} distinct parallelepiped points, determinant {sub.determinant}"
+        )
     return tuple(sorted(pts))
 
 

@@ -29,3 +29,9 @@ def ns23():
 @pytest.fixture(scope="session")
 def ns479():
     return build(((4,), (7,), (9,)))
+
+
+@pytest.fixture(scope="session")
+def d3():
+    # rank 3, not normal
+    return build(((3, 0, 1), (0, 3, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (0, 0, 1)))

@@ -206,6 +206,27 @@ def test_verify_rejects_bad_window(tmp_path, capsys):
     assert code == 1 and "window" in err
 
 
+def test_verify_rejects_negative_emax_and_cap(tmp_path, capsys):
+    path = write_input(tmp_path, {"generators": [[2, 0], [1, 1], [0, 2]]})
+    for flag in ("--emax", "--cap"):
+        code, out, err = run(
+            capsys, "verify", "--input", path, "--prime", "3", "--window", "2", flag, "-1"
+        )
+        assert code == 1 and flag in err and out == ""
+
+
+def test_verify_refuses_oversized_window(tmp_path, capsys):
+    # refused before the gamma search: --budget 1 alone would exit 3
+    path = write_input(tmp_path, NS35)
+    code, out, err = run(
+        capsys, "verify", "--input", path, "--prime", "2", "--window", "500000", "--budget", "1"
+    )
+    assert code == 1 and "1000001 degrees" in err and out == ""
+    path = write_input(tmp_path, WEDGE)
+    code, _, err = run(capsys, "verify", "--input", path, "--prime", "2", "--window", "500")
+    assert code == 1 and "limit" in err
+
+
 def test_dim1(tmp_path, capsys):
     path = write_input(tmp_path, NS35)
     code, out, _ = run(capsys, "dim1", "--input", path, "--prime", "2")

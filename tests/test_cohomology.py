@@ -4,12 +4,14 @@ from itertools import product
 import pytest
 
 from hslbound.cohomology import (
+    HslReport,
     empirical_hsl,
     frobenius_orbit,
     hsl_exact_dim1,
     theoretical_bound,
     zero_class,
 )
+from hslbound.cones import classify
 from hslbound.errors import DimensionMismatchError
 from hslbound.intlinalg import dot, vec_add, vec_scale
 from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, verify_gamma
@@ -264,3 +266,53 @@ def test_dim1_against_brute_and_window(ns35, ns479):
             bound = theoretical_bound(cert, 0, p)
             rep = empirical_hsl(S, cert, facets, p, 30, bound + 2, 10 * cert.m_q)
             assert rep.empirical_max == exact
+
+
+def orbit_tally(S, cert, facets, p, window, e_max, cap):
+    """The window report built degree by degree from frobenius_orbit and
+    classify: one full orbit per degree, no shortcut."""
+    nq = n_q(S, facets)
+    bound = theoretical_bound(cert, nq, p)
+    regions = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
+    classes = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
+    emp_max, violations, flags = 0, [], []
+    for v in product(range(-window, window + 1), repeat=S.dim):
+        _, neg = classify(S.cone, v)
+        regions[neg.kind] += 1
+        orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+        classes[orbit.kind] += 1
+        if orbit.kind == "nilpotent":
+            emp_max = max(emp_max, orbit.order)
+            if bound is not None and orbit.order > bound:
+                violations.append((v, orbit.order))
+        if bound is None and neg.kind == "neg_boundary":
+            if any(
+                d % p == 0
+                for i in neg.zero_facets
+                for d in facets[i].invariant_factors
+                if d > 1
+            ):
+                flags.append(v)
+    return HslReport(
+        p, window, e_max, cap, nq, bound, emp_max, regions, classes,
+        tuple(violations), tuple(flags),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, p, window, e_max, cap",
+    [
+        ("wedge", 2, 8, 8, CAP),
+        ("wedge", 3, 6, 1, 5),  # e_max below the bound, tiny cap: unknowns
+        ("ns35", 2, 20, 5, 80),
+        ("index2", 2, 6, 10, 20),  # p <= N_Q: bound withheld, flags
+        ("index2", 3, 6, 3, 20),
+        ("d3", 5, 4, 3, 20),
+        ("d3", 2, 3, 0, 20),
+    ],
+)
+def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap):
+    S = request.getfixturevalue(name)
+    cert, facets = pipeline(S)
+    fast = empirical_hsl(S, cert, facets, p, window, e_max, cap)
+    assert fast.as_dict() == orbit_tally(S, cert, facets, p, window, e_max, cap).as_dict()
