@@ -6,18 +6,20 @@ default (sorted keys, so byte-identical across runs) or a plain table
 via --format table.
 
 Exit codes: 0 success, 1 invalid input or flags, 2 input not pointed,
-3 gamma search budget exhausted, 4 verify found bound violations.
+3 gamma search budget exhausted, 4 verify found bound violations, 141
+the reader closed standard output (as after `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import empirical_hsl, hsl_exact_dim1, theoretical_bound
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
-from .intlinalg import is_prime
+from .intlinalg import MILLER_RABIN_LIMIT, is_prime
 from .semigroups import AffineSemigroup, all_facet_data, build, find_gamma, n_q
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -33,6 +35,26 @@ class _Parser(argparse.ArgumentParser):
 
 class InputError(ValueError):
     pass
+
+
+EXIT_CODES = {
+    InputError: 1,
+    EmptyInputError: 1,
+    NotPointedError: 2,
+    BudgetExhaustedError: 3,
+}
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
+
+
+def check_prime(p: int) -> None:
+    """Reject a --prime that is not prime, or too large to be proven prime."""
+    if p >= MILLER_RABIN_LIMIT:
+        raise InputError(
+            f"--prime {p} is at or above {MILLER_RABIN_LIMIT}, where the primality"
+            " test is not proven deterministic"
+        )
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
 
 
 def load_input(path: str):
@@ -141,9 +163,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if not is_prime(args.prime):
-        print(f"error: {args.prime} is not prime", file=sys.stderr)
-        return 1
+    check_prime(args.prime)
     S, cert, facets = _pipeline(args)
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, args.prime)
@@ -155,25 +175,19 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not is_prime(args.prime):
-        print(f"error: {args.prime} is not prime", file=sys.stderr)
-        return 1
+    check_prime(args.prime)
     if args.window < 1:
-        print("error: --window must be at least 1", file=sys.stderr)
-        return 1
+        raise InputError("--window must be at least 1")
     for flag, value in (("--emax", args.emax), ("--cap", args.cap)):
         if value is not None and value < 0:
-            print(f"error: {flag} must be nonnegative", file=sys.stderr)
-            return 1
+            raise InputError(f"{flag} must be nonnegative")
     S = build(load_input(args.input))
     degrees = (2 * args.window + 1) ** S.dim
     if degrees > MAX_WINDOW_DEGREES:
-        print(
-            f"error: --window {args.window} at rank {S.dim} spans {degrees} degrees,"
-            f" more than the limit of {MAX_WINDOW_DEGREES}",
-            file=sys.stderr,
+        raise InputError(
+            f"--window {args.window} at rank {S.dim} spans {degrees} degrees,"
+            f" more than the limit of {MAX_WINDOW_DEGREES}"
         )
-        return 1
     cert = find_gamma(S, budget=args.budget)
     facets = all_facet_data(S)
     nq = n_q(S, facets)
@@ -188,13 +202,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim1(args) -> int:
-    if not is_prime(args.prime):
-        print(f"error: {args.prime} is not prime", file=sys.stderr)
-        return 1
+    check_prime(args.prime)
     S = build(load_input(args.input))
     if S.dim != 1:
-        print(f"error: input has rank {S.dim}, not 1", file=sys.stderr)
-        return 1
+        raise InputError(f"input has rank {S.dim}, not 1")
     print(hsl_exact_dim1(S, args.prime))
     return 0
 
@@ -227,11 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {
         "analyze": cmd_analyze,
         "bound": cmd_bound,
@@ -239,19 +245,21 @@ def main(argv=None) -> int:
         "dim1": cmd_dim1,
     }
     try:
-        return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotPointedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        try:
+            args = build_parser().parse_args(argv)
+            code = handlers[args.command](args)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

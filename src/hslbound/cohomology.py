@@ -281,6 +281,13 @@ def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
     return best
 
 
+def _check_limits(e_max: int, cap: int) -> None:
+    """Refuse negative limits, which would report every level unknown."""
+    for name, value in (("e_max", e_max), ("cap", cap)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def frobenius_orbit(
     S: AffineSemigroup,
     cert: GammaCertificate,
@@ -296,7 +303,9 @@ def frobenius_orbit(
     kills p^e v then p*(p^e v + w) stays in the semigroup, so p*w kills
     the next level.  Outside -sigma, levels with p^e >= m_q must come out
     zero via the constructive witness; that is asserted, not assumed.
+    Raises ValueError for a negative e_max or cap.
     """
+    _check_limits(e_max, cap)
     v = tuple(int(e) for e in v)
     neg = neg_region(sign_vector(S.cone, v))
     outside = neg.kind == "outside_neg"
@@ -449,8 +458,10 @@ def empirical_hsl(
       the constructive witness failed, and raises AssertionError.
 
     Degrees are visited in a fixed lexicographic order, so reports are
-    deterministic and independent of any execution interleaving.
+    deterministic and independent of any execution interleaving.  Raises
+    ValueError for a negative e_max or cap.
     """
+    _check_limits(e_max, cap)
     from .semigroups import n_q as compute_nq
 
     nq = compute_nq(S, facets)

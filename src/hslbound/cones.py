@@ -3,30 +3,31 @@
 Machinery for full-dimensional cones over a lattice: inward facet normals
 (support forms), pointedness, sign-pattern region tags relative to the
 cone and its negative, placing triangulations into simplicial subcones,
-and half-open fundamental parallelepipeds.  All arithmetic is exact; the
-only rationals appearing are Fractions in barycentric solves.
+and half-open fundamental parallelepipeds.  All arithmetic is on
+integers: barycentric coordinates in a simplicial subcone with ray
+matrix R are adj(R) @ x / det(R), so their signs and floors come from
+integer products and floor division, without rationals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .intlinalg import (
     IntMatrix,
     IntVector,
+    adjugate,
     det,
     dot,
-    int_matrix_inverse,
+    hermite_normal_form,
     kernel_basis,
     mat_vec,
     matrix,
     matrix_rank,
     primitive,
-    smith_normal_form,
-    solve_rational,
     transpose,
     vec_neg,
     vec_scale,
@@ -301,23 +302,23 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
 def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, ...]:
     """Lattice points sum(mu_k * r_k) with 0 <= mu_k < 1, sorted.
 
-    One representative per class of Z^n modulo the ray lattice, found via
-    the Smith form of the ray matrix and wrapped into the half-open box by
-    subtracting integer parts.  The count equals the determinant.
+    The box 0 <= x_i < H[i][i] under the diagonal of the row Hermite form
+    H of the rays holds one point of each class of Z^n modulo the ray
+    lattice.  Each is wrapped into the half-open parallelepiped by
+    subtracting R @ floor(mu), where mu = adj(R) @ x / det(R) is floored
+    by integer division.  The count equals the determinant.
     """
     ray_gens = matrix(ray_gens)
     R = transpose(ray_gens)  # columns are the rays
-    snf = smith_normal_form(R)
-    ds = snf.invariant_factors
-    if any(d == 0 for d in ds):
+    d = det(R)
+    if d == 0:
         raise ValueError("rays are linearly dependent")
-    u_inv = int_matrix_inverse(snf.u)
+    H, _ = hermite_normal_form(ray_gens)
+    adj = adjugate(R)
     pts = []
-    for t in product(*(range(d) for d in ds)):
-        x = mat_vec(u_inv, t)
-        mu = solve_rational(R, x)
-        fl = tuple(math.floor(f) for f in mu)
-        pts.append(vec_sub(x, mat_vec(R, fl)))
+    for x in product(*(range(H[i][i]) for i in range(len(H)))):
+        fl = [sum(map(mul, row, x)) // d for row in adj]
+        pts.append(tuple([xi - sum(map(mul, row, fl)) for xi, row in zip(x, R)]))
     if len(set(pts)) != sub.determinant:
         raise AssertionError(
             f"{len(set(pts))} distinct parallelepiped points, determinant {sub.determinant}"
@@ -333,12 +334,11 @@ def decompose(cone: Cone, s) -> tuple[IntVector, IntVector]:
         raise ValueError("point lies outside the cone")
     rays = cone.extreme_rays
     for sub in triangulate(cone):
-        chosen = [rays[i] for i in sub.ray_indices]
-        mu = solve_rational(transpose(matrix(chosen)), s)
-        if mu is None or any(f < 0 for f in mu):
+        R = transpose(matrix([rays[i] for i in sub.ray_indices]))
+        d = det(R)
+        y = mat_vec(adjugate(R), s)  # barycentric coordinates times d
+        if any(e * d < 0 for e in y):
             continue
-        q = (0,) * cone.dim
-        for f, r in zip(mu, chosen):
-            q = tuple(a + math.floor(f) * b for a, b in zip(q, r))
+        q = mat_vec(R, tuple(e // d for e in y))
         return q, vec_sub(s, q)
     raise RuntimeError("triangulation failed to cover the cone")

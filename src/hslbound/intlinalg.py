@@ -363,7 +363,8 @@ def solve_rational(A, b) -> tuple[Fraction, ...] | None:
     """One exact solution of A @ x == b over the rationals, or None.
 
     Free variables are set to zero, so full-column-rank systems get their
-    unique solution.
+    unique solution.  No library path calls it; the test oracles use it
+    as a reference independent of the integer routines.
     """
     A = matrix(A)
     m = len(A)
@@ -395,20 +396,34 @@ def solve_rational(A, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def int_matrix_inverse(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
+def adjugate(A: IntMatrix) -> IntMatrix:
+    """Integer adjugate, the transposed cofactor matrix: A @ adj == det(A) * I.
+
+    Each cofactor is a Bareiss determinant of a minor, so nothing leaves
+    the integers, and a singular matrix gets its adjugate too.
+    """
     A = matrix(A)
     n = len(A)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = solve_rational(A, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        if any(f.denominator != 1 for f in x):
-            raise ValueError("matrix is not unimodular")
-        cols.append(tuple(int(f) for f in x))
-    return transpose(matrix(cols))
+    if any(len(r) != n for r in A):
+        raise ValueError("adjugate needs a square matrix")
+
+    def minor(i, j):
+        return tuple(r[:j] + r[j + 1 :] for k, r in enumerate(A) if k != i)
+
+    return tuple(
+        tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
+
+
+def int_matrix_inverse(A: IntMatrix) -> IntMatrix:
+    """Exact inverse of an integer matrix with determinant +-1: det * adj."""
+    A = matrix(A)
+    d = det(A)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * e for e in row) for row in adjugate(A))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +442,17 @@ def primitive(v) -> IntVector:
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all twelve bases above
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_LIMIT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far past any input seen here."""
+    """Miller-Rabin with the prime bases 2..37.
+
+    Proven deterministic for n < MILLER_RABIN_LIMIT (psi_12, about
+    3.2e23); at or above it a composite could pass.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hslbound.cli import main
+from hslbound.intlinalg import MILLER_RABIN_LIMIT
 
 WEDGE = {"generators": [[5, 1], [4, 1], [1, 3], [1, 4]]}
 NS35 = {"generators": [[3], [5]]}
@@ -157,6 +162,32 @@ def test_bound_composite_prime(tmp_path, capsys):
     path = write_input(tmp_path, WEDGE)
     code, _, err = run(capsys, "bound", "--input", path, "--prime", "6")
     assert code == 1 and "not prime" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "dim1"])
+def test_prime_check_exits_1(tmp_path, capsys, command):
+    path = write_input(tmp_path, NS35)
+    code, _, err = run(capsys, command, "--input", path, "--prime", "6")
+    assert code == 1 and "not prime" in err
+    # psi_12 is composite, yet passes Miller-Rabin with bases 2..37
+    code, _, err = run(capsys, command, "--input", path, "--prime", str(MILLER_RABIN_LIMIT))
+    assert code == 1 and "not proven deterministic" in err
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    path = write_input(tmp_path, WEDGE)
+    path_dirs = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+    script = "import sys; from hslbound.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "analyze", "--input", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()  # the reader is gone before anything is written, as after `| head -c 1`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "BrokenPipeError" not in err and "Traceback" not in err, err
 
 
 def test_bound_small_characteristic(tmp_path, capsys):

@@ -157,6 +157,13 @@ def test_orbit_statuses_monotone(wedge, wedge_ctx):
             seen_zero = seen_zero or st.is_zero
 
 
+@pytest.mark.parametrize("e_max, cap", [(-1, CAP), (3, -1)])
+def test_orbit_rejects_negative_limits(wedge, wedge_ctx, e_max, cap):
+    cert, facets = wedge_ctx
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        frobenius_orbit(wedge, cert, facets, (1, 1), 2, e_max, cap)
+
+
 def test_orbit_positive_order_off_boundary(index2, index2_ctx):
     # (0,1): the only eligible witness sweep walks the even-x facet, so
     # nothing kills the class at e=0, but p*(0,1) dies for every p
@@ -230,6 +237,13 @@ def test_empirical_degenerate_window(wedge, wedge_ctx):
     rep = empirical_hsl(wedge, cert, facets, 5, 0, 3, CAP)
     assert rep.empirical_max == 0
     assert sum(rep.region_counts.values()) == 1
+
+
+@pytest.mark.parametrize("e_max, cap", [(-1, CAP), (3, -1)])
+def test_empirical_rejects_negative_limits(wedge, wedge_ctx, e_max, cap):
+    cert, facets = wedge_ctx
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        empirical_hsl(wedge, cert, facets, 2, 2, e_max, cap)
 
 
 def test_empirical_small_characteristic(index2, index2_ctx):

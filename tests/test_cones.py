@@ -5,6 +5,7 @@ import pytest
 
 from hslbound.cones import (
     Cone,
+    SimplicialSubcone,
     classify,
     decompose,
     is_pointed,
@@ -12,8 +13,8 @@ from hslbound.cones import (
     support_forms,
     triangulate,
 )
-from hslbound.intlinalg import dot, matrix, solve_rational, transpose, vec_add
-from oracles import brute_in_cone, brute_parallelepiped
+from hslbound.intlinalg import det, dot, matrix, solve_rational, transpose, vec_add
+from oracles import brute_in_cone, brute_parallelepiped, random_int_matrix
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 
@@ -177,6 +178,27 @@ def test_parallelepiped_unimodular_and_1d():
     assert parallelepiped_points(sub1, ((3,),)) == ((0,), (1,), (2,))
 
 
+def test_parallelepiped_random_against_brute_force():
+    # swapping two rays flips the sign of the determinant but not the
+    # half-open parallelepiped, so both orders must give the oracle's points
+    rng = random.Random(13)
+    signs = set()
+    for n, count, bound in ((1, 6, 7), (2, 12, 4), (3, 8, 2), (4, 6, 1)):
+        done = 0
+        while done < count:
+            rays = random_int_matrix(rng, n, n, -bound, bound)
+            d = det(rays)
+            if d == 0:
+                continue
+            done += 1
+            want = brute_parallelepiped(rays)
+            sub = SimplicialSubcone(tuple(range(n)), abs(d))
+            for order in (rays, rays[1::-1] + rays[2:]) if n > 1 else (rays,):
+                signs.add(det(order) > 0)
+                assert list(parallelepiped_points(sub, order)) == want, order
+    assert signs == {True, False}
+
+
 def test_decompose_examples():
     c = wedge_cone()
     assert decompose(c, (5, 1)) == ((5, 1), (0, 0))
@@ -189,7 +211,12 @@ def test_decompose_examples():
 
 def test_decompose_roundtrip_random():
     rng = random.Random(12)
-    cones = [wedge_cone(), Cone.from_generators(((2, 0), (1, 1), (1, 2)), 2)]
+    cones = [
+        wedge_cone(),
+        Cone.from_generators(((2, 0), (1, 1), (1, 2)), 2),
+        Cone.from_generators(((3, 0, 1), (0, 3, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (0, 0, 1)), 3),
+        Cone.from_generators(((2, -1, 1), (-1, 2, 1), (-1, -1, 1), (1, 1, 1)), 3),
+    ]
     for c in cones:
         subs = triangulate(c)
         residues = set()

@@ -4,6 +4,7 @@ import pytest
 
 from hslbound.intlinalg import (
     SmithDecomposition,
+    adjugate,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -121,6 +122,40 @@ def test_snf_properties_random():
         assert_snf_valid(A, smith_normal_form(A))
 
 
+def test_snf_invariant_factors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(8)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        A = random_int_matrix(rng, m, n, -9, 9)
+        ref = [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
+        # sympy leaves out the zero factors of a rank-deficient matrix
+        ref += [0] * (min(m, n) - len(ref))
+        assert smith_normal_form(A).invariant_factors == tuple(ref), A
+
+
+def test_hnf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    rng = random.Random(9)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        A = random_int_matrix(rng, m, n, -9, 9)
+        if not any(any(r) for r in A):
+            continue
+        # sympy's column form of A^T puts its pivots bottom-right; it is
+        # the row form of A with columns reversed, read back to front
+        H, _ = hermite_normal_form(tuple(r[::-1] for r in A))
+        ours = [list(r[::-1]) for r in H if any(r)][::-1]
+        ref = [r for r in sympy_hnf(sympy.Matrix(A).T).T.tolist() if any(r)]
+        assert ours == ref, A
+
+
 def test_kernel_examples():
     assert kernel_basis(((-1, 5),)) == ((5, 1),)
     assert kernel_basis(((4, -1),)) == ((1, 4),)
@@ -168,6 +203,29 @@ def test_int_matrix_inverse():
     assert mat_mul(U, Ui) == identity_matrix(2)
     with pytest.raises(ValueError):
         int_matrix_inverse(((2, 0), (0, 2)))
+
+
+def test_adjugate_times_matrix_is_det_identity():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        A = random_int_matrix(rng, n, n, -9, 9)
+        if rng.random() < 0.25 and n > 1:
+            A = A[:-1] + (A[0],)  # singular
+        d_identity = tuple(tuple(det(A) * e for e in r) for r in identity_matrix(n))
+        adj = adjugate(A)
+        assert mat_mul(A, adj) == d_identity
+        assert mat_mul(adj, A) == d_identity
+
+
+def test_adjugate_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        A = random_int_matrix(rng, n, n, -6, 6)
+        ref = sympy.Matrix(A).adjugate().tolist()
+        assert adjugate(A) == tuple(tuple(int(e) for e in r) for r in ref), A
 
 
 def test_primitive():
