@@ -45,7 +45,7 @@ from .intlinalg import (
     largest_prime_factor,
     primitive,
     smith_normal_form,
-    solve_in_lattice,
+    solve_in_hermite_basis,
     solve_in_row_lattice,
 )
 from .semigroups import (
@@ -107,7 +107,7 @@ __all__ = [
     "sat_member",
     "saturation_residues",
     "smith_normal_form",
-    "solve_in_lattice",
+    "solve_in_hermite_basis",
     "solve_in_row_lattice",
     "support_forms",
     "theoretical_bound",

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, prime=False):
         p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine")
+        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine (>= 1)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if prime:
             p.add_argument("--prime", type=int, required=True)
@@ -247,6 +247,8 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+            if args.budget < 1:  # every subcommand takes --budget
+                raise InputError("--budget must be at least 1")
             code = handlers[args.command](args)
         except SystemExit as exc:
             code = int(exc.code or 0)

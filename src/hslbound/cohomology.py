@@ -28,7 +28,7 @@ from itertools import product
 
 from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
-from .intlinalg import IntVector, dot, smith_normal_form, solve_in_lattice, vec_add, vec_mat, vec_scale
+from .intlinalg import IntVector, dot, solve_in_hermite_basis, vec_add, vec_mat, vec_scale
 from .semigroups import (
     AffineSemigroup,
     FacetData,
@@ -249,9 +249,9 @@ def _p_adic_valuation(x: int, p: int) -> int:
 def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
     """Least e with p^e * v in some zero-facet's generator lattice.
 
-    In coordinates where that lattice is spanned by d_j-multiples of a
-    hyperplane basis, the condition is d_j | p^e * y_j, which splits into
-    a p-free divisibility (independent of e) and a p-power deficit.
+    With a the hyperplane coordinates of v and y = a @ smith_v, the
+    condition is d_j | p^e * y_j, which splits into a p-free divisibility
+    (independent of e) and a p-power deficit.
     """
     best = None
     for i in zero_facets:
@@ -259,18 +259,14 @@ def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
         if not fd.facet_gens:
             cand = 0 if not any(v) else None
         else:
-            a = solve_in_lattice(fd.hyperplane_basis, v)
+            a = solve_in_hermite_basis(fd.hyperplane_basis, v)
             if a is None:
                 raise AssertionError(f"facet {i}: {v} is not in the hyperplane lattice")
-            snf = smith_normal_form(fd.coord_matrix)
-            y = vec_mat(a, snf.v)
+            y = vec_mat(a, fd.smith_v)
             cand = 0
-            for dj, yj in zip(snf.invariant_factors, y):
-                rest = dj
-                k = 0
-                while rest % p == 0:
-                    rest //= p
-                    k += 1
+            for dj, yj in zip(fd.invariant_factors, y):
+                k = _p_adic_valuation(dj, p)
+                rest = dj // p**k
                 if yj % rest != 0:
                     cand = None
                     break
@@ -281,9 +277,11 @@ def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
     return best
 
 
-def _check_limits(e_max: int, cap: int) -> None:
-    """Refuse negative limits, which would report every level unknown."""
-    for name, value in (("e_max", e_max), ("cap", cap)):
+def _check_limits(p: int, **limits: int) -> None:
+    """Refuse p < 2, whose powers never reach m_q, and negative limits."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    for name, value in limits.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
@@ -303,9 +301,9 @@ def frobenius_orbit(
     kills p^e v then p*(p^e v + w) stays in the semigroup, so p*w kills
     the next level.  Outside -sigma, levels with p^e >= m_q must come out
     zero via the constructive witness; that is asserted, not assumed.
-    Raises ValueError for a negative e_max or cap.
+    Raises ValueError for p < 2 or a negative e_max or cap.
     """
-    _check_limits(e_max, cap)
+    _check_limits(p, e_max=e_max, cap=cap)
     v = tuple(int(e) for e in v)
     neg = neg_region(sign_vector(S.cone, v))
     outside = neg.kind == "outside_neg"
@@ -360,8 +358,9 @@ def frobenius_orbit(
 def theoretical_bound(cert: GammaCertificate, nq: int, p: int) -> int | None:
     """ceil(log_p m_q), i.e. the least e with p^e >= m_q; None if p <= nq.
 
-    m_q <= 1 (in particular the saturated case m_q = 0) gives bound 0.
+    m_q <= 1 (the saturated case m_q = 0 too) gives 0; p < 2 raises ValueError.
     """
+    _check_limits(p)
     if p <= nq:
         return None
     return _least_exponent(cert.m_q, p)
@@ -459,9 +458,9 @@ def empirical_hsl(
 
     Degrees are visited in a fixed lexicographic order, so reports are
     deterministic and independent of any execution interleaving.  Raises
-    ValueError for a negative e_max or cap.
+    ValueError for p < 2 or a negative window, e_max or cap.
     """
-    _check_limits(e_max, cap)
+    _check_limits(p, window=window, e_max=e_max, cap=cap)
     from .semigroups import n_q as compute_nq
 
     nq = compute_nq(S, facets)
@@ -520,8 +519,9 @@ def hsl_exact_dim1(S: AffineSemigroup, p: int) -> int:
     """Exact nilpotence exponent for one-dimensional semigroups.
 
     Equals the least e with p^e * w in the semigroup, where w is the
-    lattice generator lying in the cone.
+    lattice generator lying in the cone.  Raises ValueError for p < 2.
     """
+    _check_limits(p)
     if S.dim != 1:
         raise DimensionMismatchError("exact formula needs a rank-1 semigroup")
     w = (1,) if dot(S.support_forms[0], (1,)) > 0 else (-1,)

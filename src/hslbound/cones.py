@@ -12,7 +12,6 @@ integer products and floor division, without rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -69,10 +68,8 @@ class Cone:
         facet_sets = tuple(
             tuple(j for j, g in enumerate(gens) if dot(u, g) == 0) for u in forms
         )
-        pointed = matrix_rank(forms) == dim if forms else dim == 0
-        reps: tuple[int, ...] = ()
-        if pointed:
-            reps = _extreme_ray_reps(gens, forms, dim)
+        pointed = matrix_rank(forms) == dim
+        reps = _extreme_ray_reps(gens, forms, dim) if pointed else ()
         return cls(dim, gens, forms, reps, facet_sets)
 
     @property
@@ -192,18 +189,9 @@ def _prune_rays(rays, constraints, n, lindim):
 
 
 def is_pointed(cone: Cone) -> bool:
-    """True iff the cone contains no line, decided exactly.
-
-    Equivalent tests, both run: the support forms span the dual space, and
-    no nonzero generator g has -g in the cone (which would force every
-    form to vanish on g).
-    """
-    if matrix_rank(cone.support_forms) != cone.dim:
-        return False
-    for g in cone.generators:
-        if any(g) and all(dot(u, g) == 0 for u in cone.support_forms):
-            return False
-    return True
+    """True iff the cone contains no line: Cone.from_generators records
+    extreme rays only when the support forms span the dual space."""
+    return bool(cone.extreme_ray_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +235,6 @@ def classify(cone: Cone, v) -> tuple[RegionTag, RegionTag]:
 # triangulation and parallelepipeds
 
 
-@lru_cache(maxsize=None)
 def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     """Placing triangulation of a pointed full-dimensional cone.
 

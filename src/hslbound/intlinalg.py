@@ -326,18 +326,14 @@ def kernel_basis(A: IntMatrix) -> tuple[IntVector, ...]:
     return tuple(r for r in KH if any(r))
 
 
-def solve_in_row_lattice(rows, target) -> IntVector | None:
-    """Integer c with sum(c[j] * rows[j]) == target, or None.
+def solve_in_hermite_basis(H, target) -> IntVector | None:
+    """Integer y with y @ H == target, or None.
 
-    The rows need not be independent; any valid coefficient vector is
-    returned (a deterministic one).
+    H is in row Hermite form (hermite_normal_form's H, its nonzero rows,
+    or a kernel_basis), so back-substitution along the pivots solves it
+    without computing a normal form again.
     """
-    rows = matrix(rows)
-    if not rows:
-        return None if any(target) else ()
-    target = vector(target)
-    H, U = hermite_normal_form(rows)
-    y = [0] * len(rows)
+    y = [0] * len(H)
     rem = list(target)
     for i, hrow in enumerate(H):
         pcol = next((j for j, e in enumerate(hrow) if e), None)
@@ -351,12 +347,21 @@ def solve_in_row_lattice(rows, target) -> IntVector | None:
         y[i] = q
     if any(rem):
         return None
-    return vec_mat(tuple(y), U)
+    return tuple(y)
 
 
-def solve_in_lattice(basis, v) -> IntVector | None:
-    """Coordinates of v in the lattice spanned by an independent basis."""
-    return solve_in_row_lattice(basis, v)
+def solve_in_row_lattice(rows, target) -> IntVector | None:
+    """Integer c with sum(c[j] * rows[j]) == target, or None.
+
+    The rows need not be independent; any valid coefficient vector is
+    returned (a deterministic one).
+    """
+    rows = matrix(rows)
+    if not rows:
+        return None if any(target) else ()
+    H, U = hermite_normal_form(rows)
+    y = solve_in_hermite_basis(H, vector(target))
+    return None if y is None else vec_mat(y, U)
 
 
 def solve_rational(A, b) -> tuple[Fraction, ...] | None:

@@ -22,9 +22,8 @@ from .intlinalg import (
     hermite_normal_form,
     kernel_basis,
     matrix,
-    matrix_rank,
     smith_normal_form,
-    solve_in_lattice,
+    solve_in_hermite_basis,
     solve_in_row_lattice,
     vec_add,
     vec_sub,
@@ -75,7 +74,7 @@ def build(raw_generators) -> AffineSemigroup:
     H, _ = hermite_normal_form(gens_ambient)
     basis = tuple(r for r in H if any(r))
     n = len(basis)
-    gens = tuple(solve_in_lattice(basis, g) for g in gens_ambient)
+    gens = tuple(solve_in_hermite_basis(basis, g) for g in gens_ambient)
     cone = Cone.from_generators(gens, n)
     if not is_pointed(cone):
         raise NotPointedError("the cone generated by the input contains a line")
@@ -308,7 +307,9 @@ class FacetData:
     on the facet if every summand does, since the form is nonnegative on
     all generators).  coord_matrix expresses them in the hyperplane basis;
     its Smith invariant factors measure the index of the facet semigroup's
-    lattice inside the full hyperplane lattice.
+    lattice inside the full hyperplane lattice.  smith_v is the column
+    transform V of that Smith form: hyperplane coordinates a lie in the
+    facet lattice iff each invariant factor d_j divides (a @ V)_j.
     """
 
     index: int
@@ -319,6 +320,7 @@ class FacetData:
     coord_matrix: IntMatrix
     invariant_factors: tuple[int, ...]
     interior_element: IntVector
+    smith_v: IntMatrix
 
 
 def facet_data(S: AffineSemigroup, i: int) -> FacetData:
@@ -327,23 +329,22 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     idxs = S.cone.facet_generator_sets[i]
     fgens = tuple(S.generators[j] for j in idxs)
     if n == 1:
-        return FacetData(i, u, idxs, fgens, (), (), (), S.zero)
+        return FacetData(i, u, idxs, fgens, (), (), (), S.zero, ())
     basis = kernel_basis((u,))
     if len(basis) != n - 1:
         raise AssertionError(f"facet {i}: hyperplane lattice has rank {len(basis)}, not {n - 1}")
-    coords = matrix([solve_in_lattice(basis, g) for g in fgens])
-    if len(fgens) < n - 1 or matrix_rank(coords) != n - 1:
+    coords = matrix([solve_in_hermite_basis(basis, g) for g in fgens])
+    snf = smith_normal_form(coords)
+    # the generators span the hyperplane iff there are n-1 nonzero factors
+    if len(snf.invariant_factors) != n - 1 or 0 in snf.invariant_factors:
         raise AssertionError(f"facet {i}: facet generators do not span the hyperplane")
-    factors = smith_normal_form(coords).invariant_factors
-    if not all(d > 0 for d in factors):
-        raise AssertionError(f"facet {i}: zero invariant factor in {factors}")
     interior = S.zero
     for g in fgens:
         interior = vec_add(interior, g)
     for j, other in enumerate(S.support_forms):
         if j != i and dot(other, interior) <= 0:
             raise AssertionError(f"facet {i}: generator sum lies on facet {j}")
-    return FacetData(i, u, idxs, fgens, basis, coords, factors, interior)
+    return FacetData(i, u, idxs, fgens, basis, coords, snf.invariant_factors, interior, snf.v)
 
 
 def all_facet_data(S: AffineSemigroup) -> tuple[FacetData, ...]:

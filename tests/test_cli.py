@@ -128,6 +128,17 @@ def test_analyze_budget_exhausted_exits_3(tmp_path, capsys):
     assert "budget" in err or "candidates" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "bound", "verify", "dim1"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_1_exits_1(tmp_path, capsys, command, budget):
+    path = write_input(tmp_path, NS35)
+    argv = [command, "--input", path, "--budget", budget]
+    if command != "analyze":
+        argv += ["--prime", "2"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "--budget must be at least 1" in err
+
+
 def test_invalid_inputs_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -164,6 +164,28 @@ def test_orbit_rejects_negative_limits(wedge, wedge_ctx, e_max, cap):
         frobenius_orbit(wedge, cert, facets, (1, 1), 2, e_max, cap)
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_prime_below_2_rejected(p):
+    # saturated inputs (m_q = 0), where p < 2 would not loop forever
+    S = build(((1, 0), (0, 1)))
+    cert, facets = pipeline(S)
+    assert cert.m_q == 0
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        theoretical_bound(cert, 0, p)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        frobenius_orbit(S, cert, facets, (1, 1), p, 3, CAP)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        empirical_hsl(S, cert, facets, p, 2, 3, CAP)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        hsl_exact_dim1(build(((1,),)), p)
+
+
+def test_empirical_rejects_negative_window(wedge, wedge_ctx):
+    cert, facets = wedge_ctx
+    with pytest.raises(ValueError, match="window must be nonnegative"):
+        empirical_hsl(wedge, cert, facets, 2, -2, 3, CAP)
+
+
 def test_orbit_positive_order_off_boundary(index2, index2_ctx):
     # (0,1): the only eligible witness sweep walks the even-x facet, so
     # nothing kills the class at e=0, but p*(0,1) dies for every p

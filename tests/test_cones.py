@@ -83,6 +83,8 @@ def test_is_pointed():
     assert is_pointed(wedge_cone())
     assert not is_pointed(Cone.from_generators(((1, 0), (-1, 0), (0, 1)), 2))
     assert is_pointed(Cone.from_generators(((3,), (5,)), 1))
+    assert not is_pointed(Cone.from_generators(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), 3))
+    assert is_pointed(Cone.from_generators(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 3))
 
 
 def test_classify_wedge():

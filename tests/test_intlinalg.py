@@ -16,7 +16,7 @@ from hslbound.intlinalg import (
     matrix_rank,
     primitive,
     smith_normal_form,
-    solve_in_lattice,
+    solve_in_hermite_basis,
     solve_in_row_lattice,
     solve_rational,
     transpose,
@@ -173,13 +173,31 @@ def test_kernel_spans_brute_solutions():
             assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
         assert len(basis) == n - matrix_rank(A)
         for x in brute_kernel_vectors(A, 2):
-            assert solve_in_lattice(basis, x) is not None
+            assert solve_in_row_lattice(basis, x) is not None
 
 
-def test_solve_in_lattice():
-    assert solve_in_lattice(((5, 1), (1, 4)), (6, 5)) == (1, 1)
-    assert solve_in_lattice(((2, 0),), (3, 0)) is None
-    assert solve_in_lattice(((5, 1),), (15, 3)) == (3,)
+def test_solve_in_row_lattice():
+    assert solve_in_row_lattice(((5, 1), (1, 4)), (6, 5)) == (1, 1)
+    assert solve_in_row_lattice(((2, 0),), (3, 0)) is None
+    assert solve_in_row_lattice(((5, 1),), (15, 3)) == (3,)
+    # on a Hermite basis the back-substitution alone gives the same answer
+    rng = random.Random(4)
+    outside = 0
+    for _ in range(200):
+        A = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9)
+        H, _ = hermite_normal_form(A)
+        basis = tuple(r for r in H if any(r))
+        if not basis:
+            continue
+        y = tuple(rng.randint(-5, 5) for _ in basis)
+        inside = vec_mat(y, basis)
+        assert solve_in_hermite_basis(basis, inside) == y
+        assert solve_in_row_lattice(basis, inside) == y
+        t = tuple(rng.randint(-9, 9) for _ in basis[0])
+        expected = solve_in_row_lattice(basis, t)
+        assert solve_in_hermite_basis(basis, t) == expected
+        outside += expected is None
+    assert outside > 20
 
 
 def test_solve_in_row_lattice_dependent_rows():
