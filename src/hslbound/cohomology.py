@@ -25,6 +25,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add, ge
 
 from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
@@ -33,6 +34,7 @@ from .semigroups import (
     AffineSemigroup,
     FacetData,
     GammaCertificate,
+    _contains,
     facet_witness_combo,
     member,
 )
@@ -108,28 +110,27 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _facet_elements(facet_gens, grading, cap):
-    """Facet semigroup elements with grading value <= cap, by level.
+def _facet_elements(facet_gens, gen_forms, grading, cap):
+    """Nonzero facet semigroup elements with grading value <= cap, by level.
 
-    Returns (level, element, coefficients) triples in search order; the
-    zero element is included.
+    gen_forms are the support-form vectors of facet_gens.  Returns
+    (element, coefficients, form vector) triples in search order.
     """
     zero = (0,) * len(grading)
-    start = (0, zero, (0,) * len(facet_gens))
-    heap = [start]
+    heap = [(0, zero, (0,) * len(facet_gens), (0,) * len(gen_forms[0]))]
     seen = {zero}
     out = []
     while heap:
-        lv, w, coeffs = heapq.heappop(heap)
-        out.append((lv, w, coeffs))
-        for j, g in enumerate(facet_gens):
+        lv, w, coeffs, forms = heapq.heappop(heap)
+        out.append((w, coeffs, forms))
+        for j, (g, gf) in enumerate(zip(facet_gens, gen_forms)):
             nxt = vec_add(w, g)
             nlv = lv + dot(grading, g)
             if nlv <= cap and nxt not in seen:
                 seen.add(nxt)
                 bumped = tuple(c + (1 if jj == j else 0) for jj, c in enumerate(coeffs))
-                heapq.heappush(heap, (nlv, nxt, bumped))
-    return tuple(out)
+                heapq.heappush(heap, (nlv, nxt, bumped, vec_add(forms, gf)))
+    return tuple(out[1:])
 
 
 def zero_class(
@@ -138,8 +139,15 @@ def zero_class(
     facets: tuple[FacetData, ...],
     v,
     cap: int,
+    *,
+    signs: IntVector | None = None,
 ) -> ZeroClassResult:
     """Decide whether [x^v] vanishes in the top cohomology.
+
+    signs, when given, must be v's support-form vector
+    sign_vector(S.cone, v); callers that hold it already pass it rather
+    than have it recomputed.  Otherwise it is computed here, and a v of
+    the wrong length raises ValueError.
 
     Decision by region of v relative to -sigma:
 
@@ -155,14 +163,19 @@ def zero_class(
       that facet's interior element until every other form clears its
       gamma value; then v + w sits in gamma + saturation, hence in the
       semigroup.  Otherwise search facet elements up to the cap and
-      answer Unknown when the search is truncated.
+      answer Unknown when the search is truncated.  The search works on
+      form vectors: u(v + w) = signs + u(w), so a candidate with a
+      negative entry is outside the cone and skipped, one with every
+      entry >= u(gamma) lies in gamma + saturation, and any other is
+      decided by the membership walk.
     """
     v = tuple(int(e) for e in v)
-    signs = sign_vector(S.cone, v)
+    if signs is None:
+        signs = sign_vector(S.cone, v)
     if all(s >= 0 for s in signs):
         # v is in the cone, so the only possible witness facets are all of
         # them; membership itself settles the w = 0 case
-        if all(s >= fv for s, fv in zip(signs, cert.facet_values)) or member(S, v):
+        if all(map(ge, signs, cert.facet_values)) or _contains(S, signs):
             return _zero(0, S.zero, (0,) * len(facets[0].facet_gens))
     neg = neg_region(signs)
     if neg.kind == "neg_interior":
@@ -204,10 +217,12 @@ def zero_class(
         if not fd.facet_gens:
             continue  # facet semigroup is {0}; w = 0 was already ruled out
         truncated = True
-        for _, w, coeffs in _facet_elements(fd.facet_gens, S.grading, cap):
-            if w == S.zero:
+        gen_forms = tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices)
+        for w, coeffs, w_forms in _facet_elements(fd.facet_gens, gen_forms, S.grading, cap):
+            c = tuple(map(add, signs, w_forms))
+            if min(c) < 0:
                 continue
-            if member(S, vec_add(v, w)):
+            if all(map(ge, c, cert.facet_values)) or _contains(S, c):
                 return _zero(i, w, coeffs)
     if truncated:
         return ZeroClassResult("unknown", cap=cap)
@@ -305,7 +320,8 @@ def frobenius_orbit(
     """
     _check_limits(p, e_max=e_max, cap=cap)
     v = tuple(int(e) for e in v)
-    neg = neg_region(sign_vector(S.cone, v))
+    signs = sign_vector(S.cone, v)
+    neg = neg_region(signs)
     outside = neg.kind == "outside_neg"
     statuses: list[ZeroClassResult] = []
     first_zero: int | None = None
@@ -319,7 +335,9 @@ def frobenius_orbit(
                 tuple(c * p for c in prev.witness_coeffs),
             )
         else:
-            st = zero_class(S, cert, facets, vec_scale(v, power), cap)
+            st = zero_class(
+                S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
+            )
             if st.is_zero:
                 first_zero = e
         if outside and power >= cert.m_q and not st.is_zero:
@@ -421,13 +439,15 @@ def _first_zero(S, cert, facets, v, signs, p, e_max, cap) -> int | None:
 
     The signs of p^e v are p^e times those of v.  A level where the
     constructive facet test passes on them is zero without a witness
-    being built; any other level is decided by zero_class.
+    being built; any other level is decided by zero_class, which is handed
+    the scaled signs.
     """
     power = 1
     for e in range(e_max + 1):
-        if _constructive_facet(tuple(s * power for s in signs), cert) is not None:
+        scaled = vec_scale(signs, power)
+        if _constructive_facet(scaled, cert) is not None:
             return e
-        if zero_class(S, cert, facets, vec_scale(v, power), cap).is_zero:
+        if zero_class(S, cert, facets, vec_scale(v, power), cap, signs=scaled).is_zero:
             return e
         power *= p
     return None

@@ -55,22 +55,31 @@ class RegionTag:
 
 @dataclass(frozen=True)
 class Cone:
+    """A full-dimensional cone with its dual description.
+
+    generator_forms[j] is the support-form vector (u_1(g_j), ..., u_m(g_j))
+    of generator j; on a pointed cone the forms span the dual space, so
+    that vector determines the point.
+    """
+
     dim: int
     generators: IntMatrix
     support_forms: IntMatrix
     extreme_ray_reps: tuple[int, ...]
     facet_generator_sets: tuple[tuple[int, ...], ...]
+    generator_forms: IntMatrix
 
     @classmethod
     def from_generators(cls, generators, dim: int) -> "Cone":
         gens = matrix(generators)
         forms = support_forms(gens, dim)
+        values = tuple(tuple(dot(u, g) for u in forms) for g in gens)
         facet_sets = tuple(
-            tuple(j for j, g in enumerate(gens) if dot(u, g) == 0) for u in forms
+            tuple(j for j, gv in enumerate(values) if gv[i] == 0) for i in range(len(forms))
         )
         pointed = matrix_rank(forms) == dim
         reps = _extreme_ray_reps(gens, forms, dim) if pointed else ()
-        return cls(dim, gens, forms, reps, facet_sets)
+        return cls(dim, gens, forms, reps, facet_sets, values)
 
     @property
     def grading(self) -> IntVector:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import add, sub
 
-from .cones import Cone, is_pointed, parallelepiped_points, triangulate
+from .cones import Cone, is_pointed, parallelepiped_points, sign_vector, triangulate
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import (
     IntMatrix,
@@ -26,7 +27,6 @@ from .intlinalg import (
     solve_in_hermite_basis,
     solve_in_row_lattice,
     vec_add,
-    vec_sub,
 )
 
 
@@ -36,8 +36,10 @@ class AffineSemigroup:
 
     generators live in M-coordinates (rank = cone.dim); raw_generators and
     lattice_basis record the original ambient data.  The membership memo
-    is a shared cache: concurrent readers may race benignly on it, every
-    stored value is final.
+    maps a point's support-form vector (u_1(v), ..., u_m(v)) to whether
+    the point is in the semigroup.  The cone is pointed and
+    full-dimensional, so its forms span the dual space and v -> u(v) is
+    injective on M: each key names exactly one point.
     """
 
     raw_generators: IntMatrix
@@ -89,46 +91,44 @@ def sat_member(S: AffineSemigroup, v) -> bool:
     return all(dot(u, v) >= 0 for u in S.support_forms)
 
 
-def member(S: AffineSemigroup, v) -> bool:
-    """v in the semigroup, by memoized descent along the grading.
+def _contains(S: AffineSemigroup, c: IntVector) -> bool:
+    """The point with support-form vector c is in the semigroup.
 
-    v belongs iff v == 0 or v - g stays in the cone and belongs, for some
+    Memoized descent along the grading: the point belongs iff c is zero
+    or c - u(g) stays in the cone (every entry >= 0) and belongs, for some
     generator g.  The grading is strictly positive on generators, so each
     step drops it and the walk terminates; the cone test keeps the
     explored set inside a bounded region.
     """
-    v = tuple(int(e) for e in v)
     memo = S._memo
-    cached = memo.get(v)
+    cached = memo.get(c)
     if cached is not None:
         return cached
-    if not sat_member(S, v):
+    if min(c) < 0:
         return False
-    zero = S.zero
-    gens = S.generators
-    forms = S.support_forms
-    stack = [v]
+    steps = S.cone.generator_forms
+    stack = [c]
     while stack:
         u = stack[-1]
         if u in memo:
             stack.pop()
             continue
-        if u == zero:
+        if not any(u):
             memo[u] = True
             stack.pop()
             continue
         pending = []
         value = False
-        for g in gens:
-            c = vec_sub(u, g)
-            if not all(dot(f, c) >= 0 for f in forms):
+        for g in steps:
+            d = tuple(map(sub, u, g))
+            if min(d) < 0:
                 continue
-            known = memo.get(c)
+            known = memo.get(d)
             if known is True:
                 value = True
                 break
             if known is None:
-                pending.append(c)
+                pending.append(d)
         if value:
             memo[u] = True
             stack.pop()
@@ -137,28 +137,37 @@ def member(S: AffineSemigroup, v) -> bool:
         else:
             memo[u] = False
             stack.pop()
-    return memo[v]
+    return memo[c]
+
+
+def member(S: AffineSemigroup, v) -> bool:
+    """v in the semigroup, by the memoized walk on v's support-form vector.
+
+    Raises ValueError when v does not have S.dim entries.
+    """
+    return _contains(S, sign_vector(S.cone, tuple(int(e) for e in v)))
 
 
 def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
     """Nonnegative generator multiplicities summing to v, or None.
 
     Reconstructed by walking the membership memo downhill; the result is
-    deterministic (first usable generator at each step).
+    deterministic (first usable generator at each step).  Raises
+    ValueError when v does not have S.dim entries.
     """
-    v = tuple(int(e) for e in v)
-    if not member(S, v):
+    c = sign_vector(S.cone, tuple(int(e) for e in v))
+    if not _contains(S, c):
         return None
-    coeffs = [0] * len(S.generators)
-    u = v
-    while u != S.zero:
-        for j, g in enumerate(S.generators):
-            c = vec_sub(u, g)
-            if sat_member(S, c) and member(S, c):
+    steps = S.cone.generator_forms
+    coeffs = [0] * len(steps)
+    while any(c):
+        for j, g in enumerate(steps):
+            d = tuple(map(sub, c, g))
+            if _contains(S, d):
                 coeffs[j] += 1
-                u = c
+                c = d
                 break
-        else:  # pragma: no cover - contradicts member(v) being True
+        else:  # pragma: no cover - contradicts _contains(c) being True
             raise AssertionError("membership walk lost its way")
     return tuple(coeffs)
 
@@ -205,9 +214,17 @@ class GammaCertificate:
         return min(self.facet_values)
 
     def recheck(self, S: AffineSemigroup) -> bool:
-        """Re-verify the certificate by pure arithmetic on the witnesses."""
+        """Re-verify the certificate by arithmetic on the witnesses.
+
+        gamma and each gamma + rho must be the listed nonnegative generator
+        combinations, the listed residues must be exactly the saturation
+        residues, and facet_values and m_q must be the form values of gamma
+        and their maximum.
+        """
 
         def combo(coeffs):
+            if len(coeffs) != len(S.generators):
+                return None
             out = S.zero
             for c, g in zip(coeffs, S.generators):
                 if c < 0:
@@ -220,6 +237,11 @@ class GammaCertificate:
         for rho, coeffs in self.residue_witnesses:
             if combo(coeffs) != vec_add(self.gamma, rho):
                 return False
+        residues = sorted(rho for rho, _ in self.residue_witnesses)
+        if residues != list(saturation_residues(S).residues):
+            return False
+        if self.facet_values != sign_vector(S.cone, self.gamma):
+            return False
         return self.m_q == max(self.facet_values)
 
 
@@ -229,16 +251,18 @@ def _ordered_residues(S: AffineSemigroup) -> list[IntVector]:
     return sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
 
 
-def _valid(S, gamma, residues) -> bool:
-    """gamma and gamma + rho lie in the semigroup for every residue rho;
-    stops at the first residue that fails."""
-    return member(S, gamma) and all(member(S, vec_add(gamma, rho)) for rho in residues)
+def _valid(S, values, residue_values) -> bool:
+    """gamma and gamma + rho lie in the semigroup for every residue rho,
+    all given by their support-form vectors; stops at the first residue
+    that fails."""
+    return _contains(S, values) and all(
+        _contains(S, tuple(map(add, values, r))) for r in residue_values
+    )
 
 
-def _certify(S, gamma, residues) -> GammaCertificate:
+def _certify(S, gamma, values, residues) -> GammaCertificate:
     """Witnesses for a gamma that passed _valid, residue by residue."""
     witnesses = tuple((rho, express(S, vec_add(gamma, rho))) for rho in residues)
-    values = tuple(dot(u, gamma) for u in S.support_forms)
     return GammaCertificate(gamma, express(S, gamma), values, max(values), witnesses)
 
 
@@ -250,8 +274,12 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     (gamma + rho) + q.  Conversely each rho is itself a saturation point.
     """
     gamma = tuple(int(e) for e in gamma)
+    values = sign_vector(S.cone, gamma)
     residues = _ordered_residues(S)
-    return _certify(S, gamma, residues) if _valid(S, gamma, residues) else None
+    residue_values = [sign_vector(S.cone, rho) for rho in residues]
+    if not _valid(S, values, residue_values):
+        return None
+    return _certify(S, gamma, values, residues)
 
 
 def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
@@ -262,18 +290,20 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     support form is nonnegative, and the grading positive, on every
     generator, so a generator step strictly raises the key: candidates pop
     in key order, and the first one that passes (gamma + rho in the
-    semigroup for every residue rho) is optimal.  Candidates are only
-    tested, with the cached membership walk; witnesses are built for the
-    winner alone.
+    semigroup for every residue rho) is optimal.  Each candidate carries
+    its support-form vector, the sum of its generators' vectors, and is
+    tested on it and on that vector plus each residue's, by the memoized
+    walk; witnesses are built for the winner alone.
 
     budget is the number of candidates popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level
     popped.
     """
     residues = _ordered_residues(S)
+    residue_values = [sign_vector(S.cone, rho) for rho in residues]
     steps = [
-        (tuple(dot(u, g) for u in S.support_forms), dot(S.grading, g), g)
-        for g in S.generators
+        (step_values, dot(S.grading, g), g)
+        for step_values, g in zip(S.cone.generator_forms, S.generators)
     ]
     # entries are (max facet value, grading level, gamma, facet values)
     heap = [(0, 0, S.zero, (0,) * len(S.support_forms))]
@@ -284,8 +314,8 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
         _, level, gamma, values = heapq.heappop(heap)
         examined += 1
         max_level = max(max_level, level)
-        if _valid(S, gamma, residues):
-            return _certify(S, gamma, residues)
+        if _valid(S, values, residue_values):
+            return _certify(S, gamma, values, residues)
         for step_values, step_level, g in steps:
             nxt = vec_add(gamma, g)
             if nxt not in seen:

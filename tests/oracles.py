@@ -60,15 +60,20 @@ def brute_in_cone(gens, v):
 
 
 def semigroup_elements_upto(gens, grading, cap):
-    """All finite sums of gens with grading value <= cap (includes 0)."""
+    """All finite sums of gens with grading value <= cap (includes 0).
+
+    grading must be positive on every generator.  Plain Python, no library
+    call: this is the reference the membership walk is checked against.
+    """
     zero = (0,) * len(gens[0])
+    steps = [(sum(a * b for a, b in zip(grading, g)), g) for g in gens]
     seen = {zero}
     heap = [(0, zero)]
     while heap:
         lv, v = heapq.heappop(heap)
-        for g in gens:
-            w = vec_add(v, g)
-            lw = lv + dot(grading, g)
+        for lg, g in steps:
+            w = tuple(a + b for a, b in zip(v, g))
+            lw = lv + lg
             if lw <= cap and w not in seen:
                 seen.add(w)
                 heapq.heappush(heap, (lw, w))

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import ge
 
 import pytest
 
@@ -14,7 +15,15 @@ from hslbound.cohomology import (
 from hslbound.cones import classify
 from hslbound.errors import DimensionMismatchError
 from hslbound.intlinalg import dot, vec_add, vec_scale
-from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, verify_gamma
+from hslbound.semigroups import (
+    all_facet_data,
+    build,
+    express,
+    find_gamma,
+    member,
+    n_q,
+    verify_gamma,
+)
 from oracles import brute_min_power_in_numerical, brute_zero_class
 
 CAP = 470  # 10 * m_q for the wedge certificate below
@@ -105,6 +114,57 @@ def test_zero_class_against_brute_force(wedge, wedge_ctx):
             continue
         assert res.is_zero == brute, v
         assert res.recheck(wedge, facets, v)
+
+
+WEDGE_7 = ((7, 1), (6, 1), (1, 5), (1, 6))
+D4_GENS = (
+    (1, 0, 0, 1),
+    (0, 1, 0, 1),
+    (0, 0, 1, 1),
+    (2, 1, 0, 1),
+    (0, 2, 1, 1),
+    (1, 0, 2, 1),
+    (1, 1, 1, 2),
+)
+
+
+@pytest.mark.parametrize("name, window", [("d3", 8), ("D4", 4), ("W_7", 30)])
+def test_capped_search_against_brute_force(request, name, window):
+    # seeded outside degrees that reach the capped facet search: outside
+    # -sigma, not in Q, and with no constructive facet
+    gens = {"D4": D4_GENS, "W_7": WEDGE_7}
+    S = build(gens[name]) if name in gens else request.getfixturevalue(name)
+    cert, facets = pipeline(S)
+    cap, tiny = 10 * cert.m_q, 2
+    rng = random.Random(7)
+    verdicts = []
+    while len(verdicts) < 40:
+        v = tuple(rng.randint(-window, window) for _ in range(S.dim))
+        signs = tuple(dot(u, v) for u in S.support_forms)
+        if max(signs) <= 0 or any(map(ge, signs, cert.facet_values)) or member(S, v):
+            continue
+        res = zero_class(S, cert, facets, v, cap)
+        assert res.verdict in ("zero", "unknown"), v
+        assert res.is_zero == brute_zero_class(S, facets, v, cap), v
+        assert res.recheck(S, facets, v), v
+        small = zero_class(S, cert, facets, v, tiny)
+        assert small.is_zero == brute_zero_class(S, facets, v, tiny), v
+        assert small.verdict == "unknown" or small.is_zero, v
+        if res.verdict == "unknown":
+            assert small.verdict == "unknown", v
+        verdicts.append(res.verdict)
+    assert "zero" in verdicts
+
+
+def test_wrong_length_degrees_rejected(wedge, wedge_ctx):
+    cert, facets = wedge_ctx
+    for bad in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            member(wedge, bad)
+        with pytest.raises(ValueError, match="length mismatch"):
+            express(wedge, bad)
+        with pytest.raises(ValueError, match="length mismatch"):
+            zero_class(wedge, cert, facets, bad, CAP)
 
 
 def test_zero_class_brute_on_index2_boundaries(index2, index2_ctx):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -69,6 +70,62 @@ def test_member_against_enumeration(wedge):
     for v in product(range(-14, 15), repeat=2):
         if dot(wedge.grading, v) <= 40:
             assert member(wedge, v) == (v in table), v
+
+
+def random_raw_generators(rng, rank):
+    """rank-dimensional generators whose last coordinate is in [1, 3], so
+    that coordinate is a positive grading on them."""
+    count = rng.randint(rank + 1, rank + 3)
+    return [
+        tuple(rng.randint(0, 4) for _ in range(rank - 1)) + (rng.randint(1, 3),)
+        for _ in range(count)
+    ]
+
+
+def test_member_and_express_against_generator_sums():
+    # seeded semigroups of rank 2-4, compared in ambient coordinates with
+    # the plain enumeration of generator sums up to level cap of the last
+    # coordinate; a degree on a level <= CAP is a member iff it is listed
+    cap = 12
+    kinds = {"member": 0, "hole": 0, "outside": 0, "negative": 0}
+    for seed in range(12):
+        rng = random.Random(4000 + seed)
+        raws = random_raw_generators(rng, 2 + seed % 3)
+        S = build(raws)
+        n = len(raws[0])
+        level = (0,) * (n - 1) + (1,)
+        table = semigroup_elements_upto(raws, level, cap)
+
+        def ambient(x):
+            return tuple(sum(c * b[j] for c, b in zip(x, S.lattice_basis)) for j in range(n))
+
+        for g, raw in zip(S.generators, raws):
+            assert ambient(g) == raw
+        degrees = []
+        for _ in range(60):
+            coeffs = [rng.randint(0, 2) for _ in S.generators]
+            x = tuple(sum(c * g[k] for c, g in zip(coeffs, S.generators)) for k in range(S.dim))
+            unit = [0] * S.dim
+            unit[rng.randrange(S.dim)] = rng.choice((-1, 1))
+            degrees += [x, vec_add(x, unit), tuple(-e for e in x)]
+            degrees.append(tuple(rng.randint(-5, 5) for _ in range(S.dim)))
+        for x in degrees:
+            a = ambient(x)
+            if a[-1] > cap:
+                continue
+            expected = a in table
+            assert member(S, x) == expected, (raws, x)
+            coeffs = express(S, x)
+            if not expected:
+                assert coeffs is None, (raws, x)
+                kind = "hole" if sat_member(S, x) else "negative" if a[-1] < 0 else "outside"
+                kinds[kind] += 1
+                continue
+            kinds["member"] += 1
+            assert len(coeffs) == len(raws) and min(coeffs) >= 0
+            total = tuple(sum(c * r[j] for c, r in zip(coeffs, raws)) for j in range(n))
+            assert total == a, (raws, x)
+    assert all(kinds.values()), kinds
 
 
 def test_member_implies_sat_member(wedge):
@@ -202,6 +259,25 @@ def test_find_gamma_w13_optimal_at_default_budget():
     cert = find_gamma(S)
     assert cert.m_q == 1573 and cert.gamma == (142, 131)
     assert cert.recheck(S)
+
+
+def test_recheck_rejects_forged_facet_values():
+    S = build(wedge_gens(5))
+    cert = find_gamma(S)
+    assert cert.recheck(S)
+    assert not replace(cert, facet_values=(1, 1), m_q=1).recheck(S)
+    assert not replace(cert, m_q=cert.m_q + 1).recheck(S)
+
+
+def test_recheck_rejects_wrong_residue_lists():
+    S = build(wedge_gens(5))
+    cert = find_gamma(S)
+    witnesses = cert.residue_witnesses
+    assert len(witnesses) > 1
+    for forged in (witnesses[:1], witnesses[1:], witnesses + witnesses[:1], ()):
+        assert not replace(cert, residue_witnesses=forged).recheck(S)
+    # a coefficient list of the wrong length is no witness either
+    assert not replace(cert, gamma_coeffs=cert.gamma_coeffs + (0,)).recheck(S)
 
 
 def test_facet_data_wedge(wedge):
