@@ -88,7 +88,7 @@ def build(raw_generators) -> AffineSemigroup:
 
 def sat_member(S: AffineSemigroup, v) -> bool:
     """v in the saturation, i.e. in the cone, decided by form signs."""
-    return all(dot(u, v) >= 0 for u in S.support_forms)
+    return min(sign_vector(S.cone, v)) >= 0
 
 
 def _contains(S: AffineSemigroup, c: IntVector) -> bool:
