@@ -23,7 +23,6 @@ from .cones import (
     RegionTag,
     SimplicialSubcone,
     classify,
-    decompose,
     is_pointed,
     parallelepiped_points,
     support_forms,
@@ -88,7 +87,6 @@ __all__ = [
     "all_facet_data",
     "build",
     "classify",
-    "decompose",
     "empirical_hsl",
     "express",
     "facet_data",

@@ -17,6 +17,13 @@ it first tries the constructive witness built from a verified gamma
 translate, which always fires once p^e reaches m_q, and otherwise falls
 back to a capped witness search that reports Unknown rather than claim an
 uncertified nonvanishing.
+
+The window sweep (empirical_hsl) walks the degree box row by row and
+builds each degree's support-form values by adding one form column to the
+previous degree's; cones.neg_region reads the region off them.  Outside
+-sigma the constructive level is read from per-facet thresholds
+ceil(u_i(gamma) / p^e), O(m * (e_max + 1)) integers computed once per
+sweep, and only the levels below it call zero_class.
 """
 
 from __future__ import annotations
@@ -434,23 +441,51 @@ class HslReport:
         }
 
 
-def _first_zero(S, cert, facets, v, signs, p, e_max, cap) -> int | None:
+def _constructive_thresholds(facet_values, p: int, e_max: int):
+    """Rows ceil(u_i(gamma) / p^e) for e = 0..min(e_max, e_s).
+
+    Level e of a degree with signs s is constructive (some facet i has
+    p^e * s_i >= u_i(gamma)) iff s_i >= row_e[i] for some i, because s_i
+    is an integer.  The facet values are nonnegative (gamma lies in the
+    cone), so once p^e >= m_q = max u_i(gamma) every row is the same 0/1
+    row and the table ends at that level e_s: it holds at most
+    m * (min(e_max, ceil(log_p m_q)) + 1) integers.
+    """
+    top = max(facet_values)
+    rows = []
+    power = 1
+    for _ in range(e_max + 1):
+        rows.append(tuple(-(-f // power) for f in facet_values))
+        if power >= top:
+            break
+        power *= p
+    return tuple(rows)
+
+
+def _constructive_level(signs, thresholds, e_max: int) -> int:
+    """The least e <= e_max at which the constructive facet test passes on
+    p^e * signs, or e_max + 1; levels past the table repeat its last row."""
+    for e, row in enumerate(thresholds):
+        if any(map(ge, signs, row)):
+            return e
+    return e_max + 1
+
+
+def _outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds) -> int | None:
     """Least e <= e_max with [x^{p^e v}] zero, for v outside -sigma.
 
-    The signs of p^e v are p^e times those of v.  A level where the
-    constructive facet test passes on them is zero without a witness
-    being built; any other level is decided by zero_class, which is handed
-    the scaled signs.
+    The constructive level e_c is read off the thresholds; only the levels
+    below it go to zero_class, in order, with the signs scaled by p^e.
     """
+    e_c = _constructive_level(signs, thresholds, e_max)
     power = 1
-    for e in range(e_max + 1):
-        scaled = vec_scale(signs, power)
-        if _constructive_facet(scaled, cert) is not None:
-            return e
-        if zero_class(S, cert, facets, vec_scale(v, power), cap, signs=scaled).is_zero:
+    for e in range(e_c):
+        if zero_class(
+            S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
+        ).is_zero:
             return e
         power *= p
-    return None
+    return e_c if e_c <= e_max else None
 
 
 def empirical_hsl(
@@ -465,19 +500,26 @@ def empirical_hsl(
     """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
 
     The report is the one per-degree frobenius_orbit calls would give,
-    but only orders are computed.  Each degree's sign vector is computed
-    once and its region relative to -sigma read off it:
+    but only orders are computed.  Degrees are visited in lexicographic
+    order, one row (all but the last coordinate fixed) at a time.  A
+    row's first sign vector is a sum of multiples of the form columns
+    (u_1(e_k), ..., u_m(e_k)); each next degree's signs are the previous
+    ones plus the last column, so no dot product runs per degree.
+    neg_region reads the region off the signs:
 
     * neg_interior: not nilpotent, since interior classes never vanish;
     * neg_boundary: frobenius_orbit, which cross-checks the exact lattice
       order against the levels it computes;
-    * outside -sigma: the chain v, p v, p^2 v, ... is walked up to its
-      first zero level, at most e_max, and no witness is kept.  As in
-      frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max, means
-      the constructive witness failed, and raises AssertionError.
+    * outside -sigma: the constructive level e_c, the least e at which
+      some facet has p^e u_i(v) >= u_i(gamma), is read from the per-facet
+      thresholds ceil(u_i(gamma) / p^e), computed once per sweep
+      (O(m * (e_max + 1)) integers, independent of m_q).  Only the levels
+      below e_c go to zero_class, stopping at the first zero; otherwise
+      the order is e_c, or unknown when e_c > e_max.  No witness is kept.
+      As in frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max,
+      means the constructive witness failed, and raises AssertionError.
 
-    Degrees are visited in a fixed lexicographic order, so reports are
-    deterministic and independent of any execution interleaving.  Raises
+    The order of the sweep is fixed, so reports are deterministic.  Raises
     ValueError for p < 2 or a negative window, e_max or cap.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
@@ -486,40 +528,52 @@ def empirical_hsl(
     nq = compute_nq(S, facets)
     bound = theoretical_bound(cert, nq, p)
     e_witness = _least_exponent(cert.m_q, p)
+    thresholds = _constructive_thresholds(cert.facet_values, p, e_max)
     region_counts = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
     class_counts = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
     emp_max = 0
     violations = []
     flags = []
-    for v in product(range(-window, window + 1), repeat=S.dim):
-        signs = sign_vector(S.cone, v)
-        neg = neg_region(signs)
-        region_counts[neg.kind] += 1
-        if neg.kind == "neg_interior":
-            kind, order = "not_nilpotent", None
-        elif neg.kind == "neg_boundary":
-            orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
-            kind, order = orbit.kind, orbit.order
-            if bound is None and any(
-                d % p == 0
-                for i in neg.zero_facets
-                for d in facets[i].invariant_factors
-                if d > 1
-            ):
-                flags.append(v)
-        else:
-            order = _first_zero(S, cert, facets, v, signs, p, e_max, cap)
-            last_nonzero = e_max if order is None else order - 1
-            if e_witness <= last_nonzero:
-                raise AssertionError(
-                    f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
-                )
-            kind = "unknown" if order is None else "nilpotent"
-        class_counts[kind] += 1
-        if kind == "nilpotent":
-            emp_max = max(emp_max, order)
-            if bound is not None and order > bound:
-                violations.append((v, order))
+    coords = range(-window, window + 1)
+    columns = tuple(zip(*S.support_forms))  # column k: the forms at e_k
+    multiples = [{c: vec_scale(col, c) for c in coords} for col in columns[:-1]]
+    last = columns[-1]
+    before_row = vec_scale(last, -window - 1)  # one step before x = -window
+    for prefix in product(coords, repeat=S.dim - 1):
+        signs = before_row
+        for c, mult in zip(prefix, multiples):
+            signs = tuple(map(add, signs, mult[c]))
+        for x in coords:
+            signs = tuple(map(add, signs, last))
+            neg = neg_region(signs)
+            region_counts[neg.kind] += 1
+            if neg.kind == "neg_interior":
+                class_counts["not_nilpotent"] += 1
+                continue
+            v = prefix + (x,)
+            if neg.kind == "neg_boundary":
+                orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+                kind, order = orbit.kind, orbit.order
+                if bound is None and any(
+                    d % p == 0
+                    for i in neg.zero_facets
+                    for d in facets[i].invariant_factors
+                    if d > 1
+                ):
+                    flags.append(v)
+            else:
+                order = _outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
+                last_nonzero = e_max if order is None else order - 1
+                if e_witness <= last_nonzero:
+                    raise AssertionError(
+                        f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
+                    )
+                kind = "unknown" if order is None else "nilpotent"
+            class_counts[kind] += 1
+            if kind == "nilpotent":
+                emp_max = max(emp_max, order)
+                if bound is not None and order > bound:
+                    violations.append((v, order))
     return HslReport(
         p,
         window,

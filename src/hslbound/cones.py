@@ -23,7 +23,6 @@ from .intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
-    mat_vec,
     matrix,
     matrix_rank,
     primitive,
@@ -216,13 +215,23 @@ def sign_vector(cone: Cone, v) -> IntVector:
     return tuple(dot(u, v) for u in cone.support_forms)
 
 
+NEG_INTERIOR = RegionTag("neg_interior")
+OUTSIDE_NEG = RegionTag("outside_neg")
+
+
 def neg_region(signs) -> RegionTag:
-    """Tag relative to the negated cone of a degree with sign vector signs."""
-    if all(s < 0 for s in signs):
-        return RegionTag("neg_interior")
-    if all(s <= 0 for s in signs):
+    """Tag relative to the negated cone of a degree with sign vector signs.
+
+    The largest form value decides: below 0 is the interior, 0 the
+    boundary (tagged with its zero facets), above 0 outside.  The interior
+    and outside tags are shared; RegionTag is frozen.
+    """
+    top = max(signs)
+    if top < 0:
+        return NEG_INTERIOR
+    if top == 0:
         return RegionTag("neg_boundary", tuple(i for i, s in enumerate(signs) if s == 0))
-    return RegionTag("outside_neg")
+    return OUTSIDE_NEG
 
 
 def classify(cone: Cone, v) -> tuple[RegionTag, RegionTag]:
@@ -321,20 +330,3 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
         )
     return tuple(sorted(pts))
 
-
-def decompose(cone: Cone, s) -> tuple[IntVector, IntVector]:
-    """Split s in the cone as q + rho with q an extreme-ray sum and rho a
-    parallelepiped residue of the simplicial subcone containing s."""
-    s = tuple(int(e) for e in s)
-    if any(dot(u, s) < 0 for u in cone.support_forms):
-        raise ValueError("point lies outside the cone")
-    rays = cone.extreme_rays
-    for sub in triangulate(cone):
-        R = transpose(matrix([rays[i] for i in sub.ray_indices]))
-        d = det(R)
-        y = mat_vec(adjugate(R), s)  # barycentric coordinates times d
-        if any(e * d < 0 for e in y):
-            continue
-        q = mat_vec(R, tuple(e // d for e in y))
-        return q, vec_sub(s, q)
-    raise RuntimeError("triangulation failed to cover the cone")

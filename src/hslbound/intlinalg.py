@@ -420,17 +420,6 @@ def adjugate(A: IntMatrix) -> IntMatrix:
     )
 
 
-def int_matrix_inverse(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1: det * adj."""
-    A = matrix(A)
-    d = det(A)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * e for e in row) for row in adjugate(A))
-
-
 # ---------------------------------------------------------------------------
 # primitivity and prime factors
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: bounded enumeration, exact rational
 elimination, subset search.  None of it shares code paths with the library
-routines it checks.
+routines it checks.  The reference chain of the window sweep and
+`decompose` are plain per-call versions of what the library does in bulk,
+or no longer does at all.
 """
 
 from __future__ import annotations
@@ -12,11 +14,35 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from hslbound.intlinalg import dot, matrix_rank, solve_rational, vec_add, vec_scale
+from hslbound.cohomology import zero_class
+from hslbound.cones import sign_vector
+from hslbound.intlinalg import (
+    adjugate,
+    det,
+    dot,
+    mat_vec,
+    matrix,
+    matrix_rank,
+    solve_rational,
+    transpose,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int, lo: int, hi: int):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
+
+
+def random_raw_generators(rng: random.Random, rank: int):
+    """rank-dimensional generators whose last coordinate is in [1, 3], so
+    that coordinate is a positive grading on them."""
+    count = rng.randint(rank + 1, rank + 3)
+    return [
+        tuple(rng.randint(0, 4) for _ in range(rank - 1)) + (rng.randint(1, 3),)
+        for _ in range(count)
+    ]
 
 
 def brute_row_lattice(rows, coeff_bound):
@@ -131,3 +157,48 @@ def brute_zero_class(S, facets, v, cap):
             if member(S, vec_add(v, w)):
                 return True
     return False
+
+
+def decompose(cone, subcones, s):
+    """Split s in the cone as q + rho with q an extreme-ray sum and rho a
+    parallelepiped residue of the first subcone (of triangulate(cone),
+    passed in so callers triangulate once) that contains s."""
+    s = tuple(int(e) for e in s)
+    if any(dot(u, s) < 0 for u in cone.support_forms):
+        raise ValueError("point lies outside the cone")
+    rays = cone.extreme_rays
+    for sub in subcones:
+        R = transpose(matrix([rays[i] for i in sub.ray_indices]))
+        d = det(R)
+        y = mat_vec(adjugate(R), s)  # barycentric coordinates times d
+        if any(e * d < 0 for e in y):
+            continue
+        q = mat_vec(R, tuple(e // d for e in y))
+        return q, vec_sub(s, q)
+    raise RuntimeError("triangulation failed to cover the cone")
+
+
+def reference_outside_orders(S, cert, facets, p, window, e_max, cap):
+    """Frobenius orders of the window's degrees outside -sigma, one chain
+    at a time: the sign vector by dot products per degree, then at each
+    level e the constructive test p^e u_i(v) >= u_i(gamma) and, when it
+    fails, zero_class on p^e v, up to the first zero level.
+
+    Returns ({degree: order, or None past e_max}, the degrees handed to
+    zero_class, in call order).
+    """
+    orders, called = {}, []
+    for v in product(range(-window, window + 1), repeat=S.dim):
+        signs = sign_vector(S.cone, v)
+        if max(signs) <= 0:
+            continue
+        orders[v] = None
+        for e in range(e_max + 1):
+            if any(p**e * s >= f for s, f in zip(signs, cert.facet_values)):
+                orders[v] = e
+                break
+            called.append(vec_scale(v, p**e))
+            if zero_class(S, cert, facets, called[-1], cap).is_zero:
+                orders[v] = e
+                break
+    return orders, called

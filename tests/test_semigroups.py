@@ -19,7 +19,7 @@ from hslbound.semigroups import (
     saturation_residues,
     verify_gamma,
 )
-from oracles import semigroup_elements_upto
+from oracles import random_raw_generators, semigroup_elements_upto
 
 
 def test_build_wedge(wedge):
@@ -70,16 +70,6 @@ def test_member_against_enumeration(wedge):
     for v in product(range(-14, 15), repeat=2):
         if dot(wedge.grading, v) <= 40:
             assert member(wedge, v) == (v in table), v
-
-
-def random_raw_generators(rng, rank):
-    """rank-dimensional generators whose last coordinate is in [1, 3], so
-    that coordinate is a positive grading on them."""
-    count = rng.randint(rank + 1, rank + 3)
-    return [
-        tuple(rng.randint(0, 4) for _ in range(rank - 1)) + (rng.randint(1, 3),)
-        for _ in range(count)
-    ]
 
 
 def test_member_and_express_against_generator_sums():
