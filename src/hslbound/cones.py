@@ -329,4 +329,3 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
             f"{len(set(pts))} distinct parallelepiped points, determinant {sub.determinant}"
         )
     return tuple(sorted(pts))
-
