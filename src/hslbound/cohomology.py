@@ -44,6 +44,7 @@ from .semigroups import (
     _contains,
     facet_witness_combo,
     member,
+    n_q,
 )
 
 
@@ -523,9 +524,7 @@ def empirical_hsl(
     ValueError for p < 2 or a negative window, e_max or cap.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
-    from .semigroups import n_q as compute_nq
-
-    nq = compute_nq(S, facets)
+    nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
     e_witness = _least_exponent(cert.m_q, p)
     thresholds = _constructive_thresholds(cert.facet_values, p, e_max)

@@ -7,6 +7,13 @@ and half-open fundamental parallelepipeds.  All arithmetic is on
 integers: barycentric coordinates in a simplicial subcone with ray
 matrix R are adj(R) @ x / det(R), so their signs and floors come from
 integer products and floor division, without rationals.
+
+No rank or sign question here needs a normal form.  The double
+description keeps a candidate ray iff no other candidate's zero set
+strictly contains its own; a ridge normal of the triangulation is the
+vector of signed maximal minors of its rays; ranks come from
+fraction-free elimination (intlinalg.matrix_rank).  Hermite forms are
+left to the parallelepiped box, which reads their diagonal.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .intlinalg import (
     det,
     dot,
     hermite_normal_form,
-    kernel_basis,
     matrix,
     matrix_rank,
     primitive,
@@ -77,7 +83,7 @@ class Cone:
             tuple(j for j, gv in enumerate(values) if gv[i] == 0) for i in range(len(forms))
         )
         pointed = matrix_rank(forms) == dim
-        reps = _extreme_ray_reps(gens, forms, dim) if pointed else ()
+        reps = _extreme_ray_reps(gens, forms, values, dim) if pointed else ()
         return cls(dim, gens, forms, reps, facet_sets, values)
 
     @property
@@ -92,15 +98,16 @@ class Cone:
         return tuple(self.generators[i] for i in self.extreme_ray_reps)
 
 
-def _extreme_ray_reps(gens, forms, n):
+def _extreme_ray_reps(gens, forms, values, n):
     # a generator spans an extreme ray iff the forms vanishing on it have
     # rank n-1; among generators on the same ray keep the one minimizing
-    # (grading value, lex), rays ordered by first appearance
-    grading = tuple(sum(u[j] for u in forms) for j in range(n))
+    # (grading value, lex), rays ordered by first appearance.  values[j]
+    # is the form vector of generator j, so its grading value (the
+    # functional Cone.grading) is sum(values[j])
     order: list[IntVector] = []
     best: dict[IntVector, int] = {}
-    for idx, g in enumerate(gens):
-        active = [u for u in forms if dot(u, g) == 0]
+    for idx, (g, gv) in enumerate(zip(gens, values)):
+        active = [u for u, val in zip(forms, gv) if val == 0]
         rk = matrix_rank(active) if active else 0
         if rk != n - 1:
             continue
@@ -109,8 +116,8 @@ def _extreme_ray_reps(gens, forms, n):
             order.append(key)
             best[key] = idx
         else:
-            cur = gens[best[key]]
-            if (dot(grading, g), g) < (dot(grading, cur), cur):
+            cur = best[key]
+            if (sum(gv), g) < (sum(values[cur]), gens[cur]):
                 best[key] = idx
     return tuple(best[k] for k in order)
 
@@ -122,11 +129,13 @@ def _extreme_ray_reps(gens, forms, n):
 def support_forms(generators, n: int) -> IntMatrix:
     """Irredundant primitive inward facet normals of cone(generators).
 
-    Incremental halfspace processing: the dual of the first k generators
-    is kept as (lineality basis, rays); each new generator g restricts it
-    to {u : u(g) >= 0}.  Rays are pruned to extreme ones after every step
-    using the active-constraint rank criterion, so the final ray set is
-    exactly the facet normals, sorted for determinism.
+    Incremental halfspace processing (the double description method):
+    the dual of the first k generators is kept as (lineality basis, rays);
+    each new generator g restricts it to {u : u(g) >= 0}.  Rays are pruned
+    to extreme ones after every step by comparing zero sets (_prune_rays),
+    so the final ray set is exactly the facet normals, sorted for
+    determinism.  The only rank computed is the check that the generators
+    span rank n.
     """
     gens = matrix(generators)
     if not gens:
@@ -174,26 +183,28 @@ def support_forms(generators, n: int) -> IntMatrix:
                         primitive(vec_sub(vec_scale(rm, cp), vec_scale(rp, cm)))
                     )
             rays = [r for r, _ in plus] + zero + combos
-        rays = _prune_rays(rays, processed, n, len(lineality))
+        rays = _prune_rays(rays, processed)
     if lineality:
         raise AssertionError("generators span rank n, yet the dual cone has a lineality space")
     return tuple(sorted(rays))
 
 
-def _prune_rays(rays, constraints, n, lindim):
-    """Keep one representative per extreme ray of the current dual cone."""
-    need = n - lindim - 1
-    keep = []
-    seen = set()
-    for r in rays:
-        if r in seen:
-            continue
-        seen.add(r)
-        active = [g for g in constraints if dot(r, g) == 0]
-        rk = matrix_rank(active) if active else 0
-        if rk == need:
-            keep.append(r)
-    return keep
+def _prune_rays(rays, constraints):
+    """The candidates that span extreme rays of the current dual cone,
+    duplicates dropped, in first-seen order.
+
+    The zero set of a candidate is the set of constraints (processed
+    generators) it vanishes on, and it names the smallest face holding
+    the candidate.  A candidate is extreme iff no other candidate has a
+    zero set strictly containing its own (the combinatorial test of the
+    double description method, Fukuda-Prodon 1996).  This is exact
+    because the candidates always include every extreme ray of the
+    current dual cone, and none lies in its lineality space, on which
+    every constraint vanishes.
+    """
+    rays = list(dict.fromkeys(rays))
+    zeros = [frozenset(j for j, g in enumerate(constraints) if dot(r, g) == 0) for r in rays]
+    return [r for r, z in zip(rays, zeros) if not any(z < other for other in zeros)]
 
 
 def is_pointed(cone: Cone) -> bool:
@@ -258,8 +269,11 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
 
     Rays are inserted in their stored order; each new ray, being extreme,
     lies strictly outside the cone built so far, and is coned over the
-    boundary facets it sees.  Subcones use extreme rays only, cover the
-    cone, and have pairwise disjoint interiors.
+    boundary facets it sees.  A ridge's normal is its vector of signed
+    maximal minors (_ridge_normal), computed once per ridge per call;
+    only its signs against the opposite ray and the new ray are read.
+    Subcones use extreme rays only, cover the cone, and have pairwise
+    disjoint interiors.
     """
     if not cone.extreme_ray_reps:
         raise ValueError("triangulation needs a pointed cone")
@@ -278,6 +292,7 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
         raise ValueError("cone is not full-dimensional")
     simplices: list[tuple[int, ...]] = [tuple(sorted(base))]
     base_set = set(base)
+    normals: dict[tuple[int, ...], IntVector] = {}
     for k in range(m):
         if k in base_set:
             continue
@@ -289,7 +304,9 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
         for F, owning in owners.items():
             if len(owning) != 1:
                 continue
-            normal = kernel_basis(matrix([rays[i] for i in F]))[0]
+            normal = normals.get(F)
+            if normal is None:
+                normal = normals[F] = _ridge_normal([rays[i] for i in F])
             opp = next(i for i in owning[0] if i not in F)
             if dot(normal, rays[opp]) < 0:
                 normal = vec_neg(normal)
@@ -302,6 +319,16 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
             raise AssertionError(f"triangulation produced a degenerate simplex {S}")
         out.append(SimplicialSubcone(S, d))
     return tuple(out)
+
+
+def _ridge_normal(R) -> IntVector:
+    """Signed maximal minors N of the (n-1) x n matrix R, so that
+    N . x == det(R with x appended as the last row); nonzero and normal to
+    the rows of R when they are independent."""
+    n = len(R) + 1
+    return tuple(
+        (-1) ** (n - 1 + j) * det(tuple(r[:j] + r[j + 1 :] for r in R)) for j in range(n)
+    )
 
 
 def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, ...]:

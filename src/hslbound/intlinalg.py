@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -99,6 +98,41 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _bareiss(M: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) row echelon form of M, in place.
+
+    Returns (rank, sign, pivot): the row swaps make the sign, and the last
+    pivot is a maximal nonvanishing minor of the row-permuted M.  A column
+    with no nonzero entry from the current row down is skipped.  Every
+    entry after step k is a (k+1)-minor of M (Sylvester's identity), so
+    each division by the previous pivot is exact.  Only the columns right
+    of a pivot are updated; the ones left of it are never read again.
+    """
+    m = len(M)
+    r, sign, prev = 0, 1, 1
+    for c in range(len(M[0]) if M else 0):
+        top = M[r]
+        p = top[c]
+        if not p:
+            pivot = next((i for i in range(r + 1, m) if M[i][c]), None)
+            if pivot is None:
+                continue
+            top, M[pivot] = M[pivot], top
+            M[r] = top
+            p = top[c]
+            sign = -sign
+        r += 1
+        if r == m:
+            return r, sign, p
+        for i in range(r, m):
+            row = M[i]
+            a = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return r, sign, prev
+
+
 def det(A: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(A)
@@ -106,22 +140,8 @@ def det(A: IntMatrix) -> int:
         return 1
     if any(len(r) != n for r in A):
         raise ValueError("determinant needs a square matrix")
-    M = [list(r) for r in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    rank, sign, pivot = _bareiss([list(r) for r in A])
+    return sign * pivot if rank == n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +193,15 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 H[i] = [s - q * t for s, t in zip(H[i], H[row])]
                 U[i] = [s - q * t for s, t in zip(U[i], U[row])]
         row += 1
-    return matrix(H), matrix(U)
+    return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
 def matrix_rank(A) -> int:
+    """Rank of A, by fraction-free (Bareiss) elimination; no normal form."""
     rows = matrix(A)
     if not rows:
         return 0
-    H, _ = hermite_normal_form(rows)
-    return sum(1 for r in H if any(r))
+    return _bareiss([list(r) for r in rows])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +342,7 @@ def kernel_basis(A: IntMatrix) -> tuple[IntVector, ...]:
     rows = [U[i] for i in range(len(H)) if not any(H[i])]
     if not rows:
         return ()
-    KH, _ = hermite_normal_form(matrix(rows))
+    KH, _ = hermite_normal_form(rows)
     return tuple(r for r in KH if any(r))
 
 

@@ -22,6 +22,7 @@ from .intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
+    largest_prime_factor,
     matrix,
     smith_normal_form,
     solve_in_hermite_basis,
@@ -390,8 +391,6 @@ def facet_witness_combo(fd: FacetData, v) -> tuple[int, ...] | None:
 
 def n_q(S: AffineSemigroup, facets: tuple[FacetData, ...] | None = None) -> int:
     """Largest prime dividing any facet invariant factor; 0 if all are 1."""
-    from .intlinalg import largest_prime_factor
-
     if facets is None:
         facets = all_facet_data(S)
     ds = [d for fd in facets for d in fd.invariant_factors if d > 1]

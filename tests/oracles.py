@@ -10,6 +10,7 @@ or no longer does at all.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -83,6 +84,78 @@ def brute_in_cone(gens, v):
             if x is not None and all(f >= 0 for f in x):
                 return True
     return False
+
+
+def _fraction_echelon(rows):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    m = [[Fraction(e) for e in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [e / m[r][c] for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def fraction_rank(rows):
+    return len(_fraction_echelon(rows)[1])
+
+
+def brute_support_forms(gens, n):
+    """Facet normals of cone(gens) by brute force, in Fractions only.
+
+    For each (n-1)-subset of generators of rank n-1, the hyperplane it
+    spans has a primitive integer normal; that normal, or its negative,
+    is a facet form iff every generator lies on its side.  Returns the
+    sorted tuple of facet forms (empty when the cone is all of space).
+    """
+    forms = set()
+    for subset in combinations(gens, n - 1):
+        m, pivots = _fraction_echelon(subset)
+        if len(pivots) != n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        normal = [Fraction(0)] * n
+        normal[free] = Fraction(1)
+        for row, c in zip(m, pivots):
+            normal[c] = -row[free]
+        scale = math.lcm(*(f.denominator for f in normal))
+        ints = [int(f * scale) for f in normal]
+        g = math.gcd(*ints)
+        normal = tuple(e // g for e in ints)
+        values = [sum(a * b for a, b in zip(normal, v)) for v in gens]
+        if all(x >= 0 for x in values):
+            forms.add(normal)
+        if all(x <= 0 for x in values):
+            forms.add(tuple(-e for e in normal))
+    return tuple(sorted(forms))
+
+
+def brute_extreme_ray_reps(gens, forms, n):
+    """Indices of generators spanning the extreme rays of a pointed cone:
+    a generator is extreme iff the forms vanishing on it have rank n-1.
+    Per ray the generator least in (sum of form values, lex) is kept,
+    rays in order of first appearance."""
+    best = {}
+    for idx, g in enumerate(gens):
+        values = [sum(a * b for a, b in zip(u, g)) for u in forms]
+        active = [u for u, x in zip(forms, values) if x == 0]
+        if fraction_rank(active) != n - 1:
+            continue
+        d = math.gcd(*g)
+        key = tuple(e // d for e in g)
+        cand = (sum(values), g, idx)
+        if key not in best or cand[:2] < best[key][:2]:
+            best[key] = cand
+    return tuple(idx for _, _, idx in best.values())  # dicts keep first-seen order
 
 
 def semigroup_elements_upto(gens, grading, cap):

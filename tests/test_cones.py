@@ -13,7 +13,16 @@ from hslbound.cones import (
     triangulate,
 )
 from hslbound.intlinalg import det, dot, matrix, solve_rational, transpose, vec_add
-from oracles import brute_in_cone, brute_parallelepiped, decompose, random_int_matrix
+from oracles import (
+    brute_extreme_ray_reps,
+    brute_in_cone,
+    brute_parallelepiped,
+    brute_support_forms,
+    decompose,
+    fraction_rank,
+    random_int_matrix,
+    random_raw_generators,
+)
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 
@@ -60,6 +69,38 @@ def test_support_forms_random_against_cone_oracle():
         for v in product(range(-3, 4), repeat=n):
             by_forms = all(dot(u, v) >= 0 for u in forms)
             assert by_forms == brute_in_cone(gens, v), (gens, v)
+
+
+def test_support_forms_against_brute_facets():
+    # rank 2-4, signed entries (so some cones hold a line), some with a
+    # repeated or a parallel generator; extreme rays checked when pointed
+    rng = random.Random(16)
+    pointed = lined = 0
+    while pointed + lined < 150:
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 2))]
+        shape = rng.random()
+        if shape < 0.4:
+            gens = [g[:-1] + (abs(g[-1]) + 1,) for g in gens]  # pointed
+        elif shape < 0.7:
+            gens.append(tuple(-e for e in rng.choice(gens)))  # a line
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.3:
+            gens.append(tuple(2 * e for e in rng.choice(gens)))
+        gens = tuple(g for g in gens if any(g))
+        if fraction_rank(gens) != n:
+            continue
+        want = brute_support_forms(gens, n)
+        assert support_forms(gens, n) == want, gens
+        c = Cone.from_generators(gens, n)
+        if fraction_rank(want) == n:
+            pointed += 1
+            assert c.extreme_ray_reps == brute_extreme_ray_reps(gens, want, n), gens
+        else:
+            lined += 1
+            assert c.extreme_ray_reps == ()
+    assert pointed > 50 and lined > 40
 
 
 def test_cone_facet_structure_invariants():
@@ -149,9 +190,22 @@ def test_triangulation_covers_and_is_disjoint():
         Cone.from_generators(((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), 3),
         Cone.from_generators(((2, 0), (1, 1), (1, 2)), 2),
     ]
+    rng = random.Random(17)
+    for rank, count in ((3, 6), (4, 4)):
+        made = 0
+        while made < count:
+            gens = random_raw_generators(rng, rank)
+            if fraction_rank(gens) == rank:
+                cones.append(Cone.from_generators(gens, rank))
+                made += 1
     for c in cones:
         subs = triangulate(c)
-        for v in cone_points_in_box(c, 4):
+        # the parallelepipeds hold det-many points each
+        points = 0
+        for s in subs:
+            points += len(parallelepiped_points(s, [c.extreme_rays[i] for i in s.ray_indices]))
+        assert points == sum(s.determinant for s in subs)
+        for v in cone_points_in_box(c, 4 if c.dim < 4 else 2):
             inside = [s for s in subs if all(f >= 0 for f in barycentric(c, s, v))]
             assert inside, (c.generators, v)
             strict = [s for s in subs if all(f > 0 for f in barycentric(c, s, v))]

@@ -155,6 +155,60 @@ def test_hnf_against_sympy():
         assert ours == ref, A
 
 
+def rank_test_matrices(rng):
+    """Seeded matrices for rank and determinant: tall, wide and square,
+    some with zero rows and columns or repeated rows, and some a product
+    of thinner factors (so of known low rank), with entries up to about
+    10^6, where an inexact division in the elimination would show."""
+    out = []
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        big = rng.random() < 0.5
+        bound = 10**6 if big else 3
+        A = [list(r) for r in random_int_matrix(rng, m, n, -bound, bound)]
+        if rng.random() < 0.3:
+            k = rng.randint(1, min(m, n))
+            B = random_int_matrix(rng, m, k, -1000, 1000)
+            C = random_int_matrix(rng, k, n, -1000, 1000)
+            A = [list(r) for r in mat_mul(B, C)]
+        if rng.random() < 0.3:
+            A[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for r in A:
+                r[j] = 0
+        if rng.random() < 0.3 and m > 1:
+            A[rng.randrange(m)] = list(A[rng.randrange(m)])
+        out.append(tuple(map(tuple, A)))
+    return out
+
+
+def test_rank_against_sympy_and_hnf():
+    sympy = pytest.importorskip("sympy")
+    deficient = 0
+    for A in rank_test_matrices(random.Random(14)):
+        rank = matrix_rank(A)
+        assert rank == sympy.Matrix(A).rank(), A
+        H, _ = hermite_normal_form(A)
+        assert rank == sum(1 for r in H if any(r)), A
+        deficient += rank < min(len(A), len(A[0]))
+    assert deficient > 30
+    assert matrix_rank(()) == 0
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    singular = 0
+    for A in rank_test_matrices(random.Random(15)):
+        n = min(len(A), len(A[0]))
+        A = tuple(r[:n] for r in A[:n])
+        d = det(A)
+        assert d == sympy.Matrix(A).det(method="berkowitz"), A
+        singular += d == 0
+    assert singular > 20
+    assert det(()) == 1
+
+
 def test_kernel_examples():
     assert kernel_basis(((-1, 5),)) == ((5, 1),)
     assert kernel_basis(((4, -1),)) == ((1, 4),)

@@ -39,3 +39,23 @@ def test_perfbench_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"hslbound.{mod}"), name, None))
     ]
     assert not missing, f"traced names missing from the library: {missing}"
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is left out
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sources, f"no sources under {SRC}"
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"unused imports in the library: {sorted(unused)}"
