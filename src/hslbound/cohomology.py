@@ -175,7 +175,7 @@ def zero_class(
       form vectors: u(v + w) = signs + u(w), so a candidate with a
       negative entry is outside the cone and skipped, one with every
       entry >= u(gamma) lies in gamma + saturation, and any other is
-      decided by the membership walk.
+      decided by the membership oracle.
     """
     v = tuple(int(e) for e in v)
     if signs is None:

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -42,11 +43,11 @@ def dot(u: IntVector, v: IntVector) -> int:
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(v, c):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, sub
 
 from .cones import Cone, is_pointed, parallelepiped_points, sign_vector, triangulate
@@ -28,7 +29,66 @@ from .intlinalg import (
     solve_in_hermite_basis,
     solve_in_row_lattice,
     vec_add,
+    vec_scale,
+    vec_sub,
 )
+
+
+class _AperyTable:
+    """The least grading of the semigroup on each line c + Z·u(e).
+
+    e is the generator of least grading (ties to the lowest index) and
+    lines are keyed by c - floor(c_i / u_i(e))·u(e) for the fixed i where
+    u(e) is largest.  The semigroup meets a line in {q + t·u(e) : t >= 0}
+    or not at all, and the least element q uses no e, so the table is a
+    shortest-path search from the line of 0 with one edge per other
+    generator, weighted by its grading (the Apéry set of the semigroup
+    along e).  The search is popped lazily: once every heap entry exceeds
+    G, each line whose least grading is at most G holds its final value.
+    """
+
+    __slots__ = ("_e", "_i", "_steps", "_least", "_heap")
+
+    def __init__(self, generator_forms: IntMatrix):
+        gradings = [sum(g) for g in generator_forms]
+        j = gradings.index(min(gradings))
+        e = generator_forms[j]
+        i = e.index(max(e))
+        self._e = e
+        self._i = i
+        # a step from the line key k adds g and subtracts floor((k_i + g_i) / e_i)
+        # copies of e; 0 <= k_i < e_i, so that is q = floor(g_i / e_i), or q + 1
+        # when k_i + (g_i mod e_i) reaches e_i
+        self._steps = []
+        for k, (grade, g) in enumerate(zip(gradings, generator_forms)):
+            if k != j:
+                q, rem = divmod(g[i], e[i])
+                low = vec_sub(g, vec_scale(e, q))
+                self._steps.append((grade, e[i] - rem, low, vec_sub(low, e)))
+        zero = (0,) * len(e)
+        self._least = {zero: 0}
+        self._heap = [(0, zero)]
+
+    def contains(self, c: IntVector) -> bool:
+        """c, a form vector with every entry >= 0, is in the semigroup."""
+        level = sum(c)
+        least = self._least
+        heap = self._heap
+        ei = self._e[self._i]
+        while heap and heap[0][0] <= level:
+            d, line = heapq.heappop(heap)
+            if d > least[line]:
+                continue
+            r = line[self._i]
+            for grade, carry, low, high in self._steps:
+                nxt = tuple(map(add, line, high if r >= carry else low))
+                nd = d + grade
+                if nd < least.get(nxt, nd + 1):
+                    least[nxt] = nd
+                    heapq.heappush(heap, (nd, nxt))
+        t = c[self._i] // ei
+        d = least.get(vec_sub(c, vec_scale(self._e, t)) if t else c)
+        return d is not None and d <= level
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +96,13 @@ class AffineSemigroup:
     """A pointed affine semigroup in coordinates on its own lattice.
 
     generators live in M-coordinates (rank = cone.dim); raw_generators and
-    lattice_basis record the original ambient data.  The membership memo
-    maps a point's support-form vector (u_1(v), ..., u_m(v)) to whether
-    the point is in the semigroup.  The cone is pointed and
-    full-dimensional, so its forms span the dual space and v -> u(v) is
-    injective on M: each key names exactly one point.
+    lattice_basis record the original ambient data.  Membership is asked
+    of a point's support-form vector (u_1(v), ..., u_m(v)); the cone is
+    pointed and full-dimensional, so its forms span the dual space and
+    v -> u(v) is injective on M: each vector names exactly one point.
+    The memo caches one answer per vector asked inside the cone, in
+    front of the Apéry table along the generator of least grading, which
+    grows only up to the largest grading asked.
     """
 
     raw_generators: IntMatrix
@@ -49,6 +111,11 @@ class AffineSemigroup:
     cone: Cone
     grading: IntVector
     _memo: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def _apery(self) -> _AperyTable:
+        # built on the first query, so a semigroup never asked holds no table
+        return _AperyTable(self.cone.generator_forms)
 
     @property
     def dim(self) -> int:
@@ -95,54 +162,22 @@ def sat_member(S: AffineSemigroup, v) -> bool:
 def _contains(S: AffineSemigroup, c: IntVector) -> bool:
     """The point with support-form vector c is in the semigroup.
 
-    Memoized descent along the grading: the point belongs iff c is zero
-    or c - u(g) stays in the cone (every entry >= 0) and belongs, for some
-    generator g.  The grading is strictly positive on generators, so each
-    step drops it and the walk terminates; the cone test keeps the
-    explored set inside a bounded region.
+    A point with a negative entry is outside the cone.  Any other is
+    looked up in the Apéry table: it belongs iff its line c + Z·u(e) is
+    reached and its grading sum(c) is at least the line's least grading.
+    Answers are cached in S._memo.
     """
     memo = S._memo
     cached = memo.get(c)
-    if cached is not None:
-        return cached
-    if min(c) < 0:
-        return False
-    steps = S.cone.generator_forms
-    stack = [c]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-            continue
-        if not any(u):
-            memo[u] = True
-            stack.pop()
-            continue
-        pending = []
-        value = False
-        for g in steps:
-            d = tuple(map(sub, u, g))
-            if min(d) < 0:
-                continue
-            known = memo.get(d)
-            if known is True:
-                value = True
-                break
-            if known is None:
-                pending.append(d)
-        if value:
-            memo[u] = True
-            stack.pop()
-        elif pending:
-            stack.extend(pending)
-        else:
-            memo[u] = False
-            stack.pop()
-    return memo[c]
+    if cached is None:
+        if min(c) < 0:
+            return False
+        cached = memo[c] = S._apery.contains(c)
+    return cached
 
 
 def member(S: AffineSemigroup, v) -> bool:
-    """v in the semigroup, by the memoized walk on v's support-form vector.
+    """v in the semigroup, decided on v's support-form vector.
 
     Raises ValueError when v does not have S.dim entries.
     """
@@ -152,9 +187,10 @@ def member(S: AffineSemigroup, v) -> bool:
 def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
     """Nonnegative generator multiplicities summing to v, or None.
 
-    Reconstructed by walking the membership memo downhill; the result is
-    deterministic (first usable generator at each step).  Raises
-    ValueError when v does not have S.dim entries.
+    Reconstructed downhill, one membership test per generator tried; the
+    result is deterministic (at each step, the first generator whose
+    removal stays in the semigroup).  Raises ValueError when v does not
+    have S.dim entries.
     """
     c = sign_vector(S.cone, tuple(int(e) for e in v))
     if not _contains(S, c):
@@ -169,7 +205,7 @@ def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
                 c = d
                 break
         else:  # pragma: no cover - contradicts _contains(c) being True
-            raise AssertionError("membership walk lost its way")
+            raise AssertionError("no generator can be removed from a member")
     return tuple(coeffs)
 
 
@@ -252,13 +288,22 @@ def _ordered_residues(S: AffineSemigroup) -> list[IntVector]:
     return sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
 
 
-def _valid(S, values, residue_values) -> bool:
+def _valid(S, values, residue_values: list) -> bool:
     """gamma and gamma + rho lie in the semigroup for every residue rho,
-    all given by their support-form vectors; stops at the first residue
-    that fails."""
-    return _contains(S, values) and all(
-        _contains(S, tuple(map(add, values, r))) for r in residue_values
-    )
+    all given by their support-form vectors.
+
+    Stops at the first residue that fails and moves it to the front of
+    residue_values, so a caller passing the same list again tests it
+    first.  Validity is a conjunction, so the order changes no answer.
+    """
+    if not _contains(S, values):
+        return False
+    for k, r in enumerate(residue_values):
+        if not _contains(S, tuple(map(add, values, r))):
+            if k:
+                residue_values.insert(0, residue_values.pop(k))
+            return False
+    return True
 
 
 def _certify(S, gamma, values, residues) -> GammaCertificate:
@@ -293,8 +338,10 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     in key order, and the first one that passes (gamma + rho in the
     semigroup for every residue rho) is optimal.  Each candidate carries
     its support-form vector, the sum of its generators' vectors, and is
-    tested on it and on that vector plus each residue's, by the memoized
-    walk; witnesses are built for the winner alone.
+    tested on it and on that vector plus each residue's against the
+    Apéry table, the residue that failed last first (a candidate near a
+    rejected one tends to fail on the same residue); witnesses are built
+    for the winner alone, residues in canonical order.
 
     budget is the number of candidates popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -116,6 +117,42 @@ def test_member_and_express_against_generator_sums():
             total = tuple(sum(c * r[j] for c, r in zip(coeffs, raws)) for j in range(n))
             assert total == a, (raws, x)
     assert all(kinds.values()), kinds
+
+
+def test_member_answers_do_not_depend_on_query_order(index2, ns35):
+    # the Apéry table grows lazily, up to the largest grading asked so far;
+    # fresh semigroups asked the same degrees in increasing, decreasing and
+    # shuffled grading order must each agree with the enumeration.  index2
+    # has a non-normal facet and <3,5> a finite set of lines, so its search
+    # runs dry
+    rng = random.Random(4100)
+    inputs = [random_raw_generators(rng, rank) for rank in (1, 2, 3, 4)]
+    inputs += [index2.raw_generators, ns35.raw_generators]
+    kinds = Counter()
+    for raws in inputs:
+        S = build(raws)
+        top = 4 * max(dot(S.grading, g) for g in S.generators)
+        table = semigroup_elements_upto(S.generators, S.grading, top)
+        members = sorted(table)
+        high = [x for x in members if 2 * dot(S.grading, x) > top]
+        degrees = set(rng.sample(high, min(10, len(high))))
+        for x in rng.sample(members, min(30, len(members))):
+            degrees.add(tuple(-e for e in x))
+            for k in range(S.dim):
+                for step in (-1, 1):
+                    degrees.add(x[:k] + (x[k] + step,) + x[k + 1 :])
+        degrees.update(tuple(rng.randint(-6, 6) for _ in range(S.dim)) for _ in range(30))
+        degrees = sorted(x for x in degrees if dot(S.grading, x) <= top)
+        expected = {x: x in table for x in degrees}
+        for x, inside in expected.items():
+            kinds["member" if inside else "hole" if sat_member(S, x) else "outside"] += 1
+        rising = sorted(degrees, key=lambda x: dot(S.grading, x))
+        shuffled = list(degrees)
+        rng.shuffle(shuffled)
+        for order in (rising, rising[::-1], shuffled):
+            fresh = build(raws)
+            assert {x: member(fresh, x) for x in order} == expected, (raws, order[0])
+    assert all(kinds[k] for k in ("member", "hole", "outside")), kinds
 
 
 def test_member_implies_sat_member(wedge):
@@ -239,6 +276,26 @@ def test_find_gamma_is_optimal_against_enumeration(name, request):
     best = min(valid, key=lambda c: gamma_key(S, c))
     assert gamma_key(S, cert) == gamma_key(S, best)
     assert cert == best
+
+
+D4_GENS = (
+    (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (2, 1, 0, 1), (0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 1, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "name, m_q", [("W_9", 441), ("W_11", 891), ("D3", 2), ("D4", 4)]
+)
+def test_ladder_certificates(name, m_q, d3):
+    # the search tests the residue that failed last first; the certificate
+    # must be the one verify_gamma builds in canonical order on a fresh
+    # semigroup
+    gens = {"W_9": wedge_gens(9), "W_11": wedge_gens(11), "D3": d3.raw_generators, "D4": D4_GENS}
+    S = build(gens[name])
+    cert = find_gamma(S)
+    assert cert.m_q == m_q
+    assert cert == verify_gamma(build(gens[name]), cert.gamma)
+    assert cert.recheck(S)
 
 
 def test_find_gamma_w13_optimal_at_default_budget():

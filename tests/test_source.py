@@ -23,13 +23,18 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def test_perfbench_traced_names_exist():
-    # the benchmark's tracer wraps library functions by module and name; a
-    # renamed function would silently read 0 calls instead of failing
+def load_tracing():
     path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_traced_names_exist():
+    # the benchmark's tracer wraps library functions by module and name; a
+    # renamed function would silently read 0 calls instead of failing
+    tracing = load_tracing()
     assert tracing.STAGES and tracing.HOT
     missing = [
         f"hslbound.{mod}.{name}"
@@ -39,6 +44,22 @@ def test_perfbench_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"hslbound.{mod}"), name, None))
     ]
     assert not missing, f"traced names missing from the library: {missing}"
+
+
+def test_perfbench_tracer_reads_memo_size():
+    # Tracer.memo_size reads len(S._memo) of every semigroup it saw built;
+    # a change of the memo's type must fail here, not in a traced run
+    tracing = load_tracing()
+    semigroups = importlib.import_module("hslbound.semigroups")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        S = semigroups.build(((5, 1), (4, 1), (1, 3), (1, 4)))
+        semigroups.member(S, (6, 4))
+    finally:
+        tracer.uninstall()
+    assert tracer.semigroups == [S]
+    assert tracer.memo_size() == 1
 
 
 def test_no_unused_imports():
