@@ -18,12 +18,17 @@ translate, which always fires once p^e reaches m_q, and otherwise falls
 back to a capped witness search that reports Unknown rather than claim an
 uncertified nonvanishing.
 
-The window sweep (empirical_hsl) walks the degree box row by row and
-builds each degree's support-form values by adding one form column to the
-previous degree's; cones.neg_region reads the region off them.  Outside
--sigma the constructive level is read from per-facet thresholds
-ceil(u_i(gamma) / p^e), O(m * (e_max + 1)) integers computed once per
-sweep, and only the levels below it call zero_class.
+The window sweep (empirical_hsl) takes the degree box row by row.  Along
+a row the support-form values are affine in the last coordinate, so the
+interior of -sigma, the non-positive set and the degrees constructive at
+level 0 (some u_i(v) >= u_i(gamma)) are integer intervals whose ends take
+one floor or ceiling division per form.  Interior degrees (not nilpotent)
+and outside degrees constructive at level 0 (order 0) are counted without
+being visited.  Only boundary degrees (frobenius_orbit) and the other
+outside degrees are visited; for those the constructive level is read
+from per-facet thresholds ceil(u_i(gamma) / p^e), O(m * (e_max + 1))
+integers computed once per sweep, and only the levels below it call
+zero_class.
 """
 
 from __future__ import annotations
@@ -71,11 +76,20 @@ class ZeroClassResult:
         return self.verdict == "zero"
 
     def recheck(self, S: AffineSemigroup, facets, v) -> bool:
-        """Independent validation of the verdict's evidence."""
+        """Independent validation of the verdict's evidence.
+
+        Evidence that does not fit the facets (no such facet, coefficients
+        of the wrong length, a checked facet list other than the one the
+        degree calls for) fails the check rather than raising.
+        """
         signs = sign_vector(S.cone, v)
         neg = neg_region(signs)
         if self.verdict == "zero":
+            if self.facet not in range(len(facets)) or self.witness_coeffs is None:
+                return False
             fd = facets[self.facet]
+            if len(self.witness_coeffs) != len(fd.facet_gens):
+                return False
             total = S.zero
             for c, g in zip(self.witness_coeffs, fd.facet_gens, strict=True):
                 if c < 0:
@@ -95,7 +109,9 @@ class ZeroClassResult:
                 facet_witness_combo(facets[i], v) is None for i in neg.zero_facets
             )
         if self.certificate == "finite_facets":
-            eligible = [i for i, s in enumerate(signs) if s >= 0]
+            eligible = tuple(i for i, s in enumerate(signs) if s >= 0)
+            if self.checked_facets != eligible:
+                return False
             return all(not facets[i].facet_gens for i in eligible) and not member(S, v)
         return self.verdict == "unknown"
 
@@ -489,6 +505,53 @@ def _outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds) -> int 
     return e_c if e_c <= e_max else None
 
 
+def _row_interval(base, column, bounds, window: int) -> range:
+    """The x in [-window, window] with base_i + x * column_i <= bounds_i
+    for every i: one floor or ceiling division per form with a nonzero
+    column entry; a form with column entry 0 keeps or empties the row."""
+    lo, hi = -window, window
+    for b, c, top in zip(base, column, bounds):
+        if c > 0:
+            hi = min(hi, (top - b) // c)
+        elif c < 0:
+            lo = max(lo, -((top - b) // -c))
+        elif b > top:
+            return range(0)
+    return range(lo, max(lo, hi + 1))
+
+
+def _minus(outer: range, inner: range) -> tuple[range, range]:
+    """outer minus the interval inner: the parts left and right of it."""
+    if not inner:
+        return outer, range(0)
+    return (
+        range(outer.start, min(outer.stop, inner.start)),
+        range(max(outer.start, inner.stop), outer.stop),
+    )
+
+
+def _row_runs(base, column, window: int, facet_values):
+    """Split the row of degrees with signs base + x * column, |x| <= window.
+
+    Returns (interior, nonpositive, runs): the sizes of the interior of
+    -sigma (every sign < 0) and of the non-positive set (every sign <= 0),
+    and the runs the sweep visits, as (is_boundary, range) pairs in
+    increasing x: the boundary (non-positive, not interior) and the
+    outside degrees that are not constructive at level 0 (every sign below
+    u_i(gamma)).  Each of the three sets is an intersection of half-lines,
+    so an interval; the rest of the row is outside and constructive at
+    level 0.
+    """
+    m = len(base)
+    interior = _row_interval(base, column, (-1,) * m, window)
+    nonpositive = _row_interval(base, column, (0,) * m, window)
+    below = _row_interval(base, column, tuple(f - 1 for f in facet_values), window)
+    left_out, right_out = _minus(below, nonpositive)
+    left_b, right_b = _minus(nonpositive, interior)
+    runs = ((False, left_out), (True, left_b), (True, right_b), (False, right_out))
+    return len(interior), len(nonpositive), runs
+
+
 def empirical_hsl(
     S: AffineSemigroup,
     cert: GammaCertificate,
@@ -501,78 +564,94 @@ def empirical_hsl(
     """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
 
     The report is the one per-degree frobenius_orbit calls would give,
-    but only orders are computed.  Degrees are visited in lexicographic
-    order, one row (all but the last coordinate fixed) at a time.  A
-    row's first sign vector is a sum of multiples of the form columns
-    (u_1(e_k), ..., u_m(e_k)); each next degree's signs are the previous
-    ones plus the last column, so no dot product runs per degree.
-    neg_region reads the region off the signs:
+    but only orders are computed.  The box is taken one row (all but the
+    last coordinate fixed) at a time.  Along a row the support-form values
+    are affine in the last coordinate x: s(x) = s0 + x * L, where s0 is a
+    sum of multiples of the form columns (u_1(e_k), ..., u_m(e_k)) and L
+    is the last column.  So the interior of -sigma, the non-positive set
+    and the degrees below level-0 constructiveness are each an interval of
+    the row, found with one floor or ceiling division per form, and the
+    row splits into:
 
-    * neg_interior: not nilpotent, since interior classes never vanish;
-    * neg_boundary: frobenius_orbit, which cross-checks the exact lattice
-      order against the levels it computes;
-    * outside -sigma: the constructive level e_c, the least e at which
-      some facet has p^e u_i(v) >= u_i(gamma), is read from the per-facet
-      thresholds ceil(u_i(gamma) / p^e), computed once per sweep
-      (O(m * (e_max + 1)) integers, independent of m_q).  Only the levels
-      below e_c go to zero_class, stopping at the first zero; otherwise
-      the order is e_c, or unknown when e_c > e_max.  No witness is kept.
-      As in frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max,
-      means the constructive witness failed, and raises AssertionError.
+    * the interior (every s_i < 0): not nilpotent, since interior classes
+      never vanish; counted, not visited;
+    * outside -sigma and constructive at level 0 (some s_i >= u_i(gamma)):
+      order 0; counted, not visited;
+    * the boundary (every s_i <= 0, some = 0), visited: frobenius_orbit,
+      which cross-checks the exact lattice order against its levels;
+    * the other outside degrees, visited: the constructive level e_c, the
+      least e at which some facet has p^e u_i(v) >= u_i(gamma), is read
+      from the per-facet thresholds ceil(u_i(gamma) / p^e), computed once
+      per sweep (O(m * (e_max + 1)) integers, independent of m_q).  Only
+      the levels below e_c go to zero_class, stopping at the first zero;
+      otherwise the order is e_c, or unknown when e_c > e_max.  No witness
+      is kept.  As in frobenius_orbit, a nonzero level with p^e >= m_q,
+      e <= e_max, means the constructive witness failed, and raises
+      AssertionError.
 
-    The order of the sweep is fixed, so reports are deterministic.  Raises
-    ValueError for p < 2 or a negative window, e_max or cap.
+    The work is O(rows * m) plus the visited degrees, which are taken in
+    lexicographic order, so zero_class and frobenius_orbit see the same
+    degrees in the same order as a degree-by-degree walk, and reports are
+    deterministic.  Raises ValueError for p < 2 or a negative window,
+    e_max or cap.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
     e_witness = _least_exponent(cert.m_q, p)
     thresholds = _constructive_thresholds(cert.facet_values, p, e_max)
+    # facets with an invariant factor divisible by p; a boundary degree on
+    # one of them is flagged when the bound is withheld
+    small_char = tuple(
+        i for i, fd in enumerate(facets) if any(d % p == 0 for d in fd.invariant_factors)
+    )
     region_counts = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
     class_counts = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
     emp_max = 0
     violations = []
     flags = []
+    width = 2 * window + 1
     coords = range(-window, window + 1)
     columns = tuple(zip(*S.support_forms))  # column k: the forms at e_k
-    multiples = [{c: vec_scale(col, c) for c in coords} for col in columns[:-1]]
-    last = columns[-1]
-    before_row = vec_scale(last, -window - 1)  # one step before x = -window
+    multiples = [{c: vec_scale(col, c) for c in coords} for col in columns]
+    last, last_multiples = columns[-1], multiples[-1]
     for prefix in product(coords, repeat=S.dim - 1):
-        signs = before_row
+        base = (0,) * len(last)
         for c, mult in zip(prefix, multiples):
-            signs = tuple(map(add, signs, mult[c]))
-        for x in coords:
-            signs = tuple(map(add, signs, last))
-            neg = neg_region(signs)
-            region_counts[neg.kind] += 1
-            if neg.kind == "neg_interior":
-                class_counts["not_nilpotent"] += 1
-                continue
-            v = prefix + (x,)
-            if neg.kind == "neg_boundary":
-                orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
-                kind, order = orbit.kind, orbit.order
-                if bound is None and any(
-                    d % p == 0
-                    for i in neg.zero_facets
-                    for d in facets[i].invariant_factors
-                    if d > 1
-                ):
-                    flags.append(v)
-            else:
-                order = _outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
-                last_nonzero = e_max if order is None else order - 1
-                if e_witness <= last_nonzero:
-                    raise AssertionError(
-                        f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
+            base = tuple(map(add, base, mult[c]))
+        interior, nonpositive, runs = _row_runs(base, last, window, cert.facet_values)
+        region_counts["neg_interior"] += interior
+        region_counts["neg_boundary"] += nonpositive - interior
+        region_counts["outside_neg"] += width - nonpositive
+        class_counts["not_nilpotent"] += interior
+        # outside and constructive at level 0: order 0
+        class_counts["nilpotent"] += width - nonpositive - sum(
+            len(run) for boundary, run in runs if not boundary
+        )
+        for boundary, run in runs:
+            for x in run:
+                v = prefix + (x,)
+                signs = tuple(map(add, base, last_multiples[x]))
+                if boundary:
+                    orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+                    kind, order = orbit.kind, orbit.order
+                    if bound is None and any(signs[i] == 0 for i in small_char):
+                        flags.append(v)
+                else:
+                    order = _outside_order(
+                        S, cert, facets, v, signs, p, e_max, cap, thresholds
                     )
-                kind = "unknown" if order is None else "nilpotent"
-            class_counts[kind] += 1
-            if kind == "nilpotent":
-                emp_max = max(emp_max, order)
-                if bound is not None and order > bound:
-                    violations.append((v, order))
+                    last_nonzero = e_max if order is None else order - 1
+                    if e_witness <= last_nonzero:
+                        raise AssertionError(
+                            f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
+                        )
+                    kind = "unknown" if order is None else "nilpotent"
+                class_counts[kind] += 1
+                if kind == "nilpotent":
+                    emp_max = max(emp_max, order)
+                    if bound is not None and order > bound:
+                        violations.append((v, order))
     return HslReport(
         p,
         window,

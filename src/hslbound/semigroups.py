@@ -27,10 +27,11 @@ from .intlinalg import (
     matrix,
     smith_normal_form,
     solve_in_hermite_basis,
-    solve_in_row_lattice,
     vec_add,
+    vec_mat,
     vec_scale,
     vec_sub,
+    vector,
 )
 
 
@@ -388,6 +389,11 @@ class FacetData:
     lattice inside the full hyperplane lattice.  smith_v is the column
     transform V of that Smith form: hyperplane coordinates a lie in the
     facet lattice iff each invariant factor d_j divides (a @ V)_j.
+
+    The Hermite form (H, U) of facet_gens, which facet_witness_combo solves
+    against, is computed on the first solve and kept, as
+    AffineSemigroup._apery is, so facet data never solved against holds
+    none.
     """
 
     index: int
@@ -399,6 +405,10 @@ class FacetData:
     invariant_factors: tuple[int, ...]
     interior_element: IntVector
     smith_v: IntMatrix
+
+    @cached_property
+    def _hermite(self) -> tuple[IntMatrix, IntMatrix]:
+        return hermite_normal_form(self.facet_gens)
 
 
 def facet_data(S: AffineSemigroup, i: int) -> FacetData:
@@ -430,10 +440,16 @@ def all_facet_data(S: AffineSemigroup) -> tuple[FacetData, ...]:
 
 
 def facet_witness_combo(fd: FacetData, v) -> tuple[int, ...] | None:
-    """Integer coefficients over facet_gens expressing v, or None."""
+    """Integer coefficients over facet_gens expressing v, or None.
+
+    The same coefficients as solve_in_row_lattice(fd.facet_gens, v), from
+    the facet's kept Hermite form.
+    """
     if not fd.facet_gens:
         return () if not any(v) else None
-    return solve_in_row_lattice(fd.facet_gens, v)
+    H, U = fd._hermite
+    y = solve_in_hermite_basis(H, vector(v))
+    return None if y is None else vec_mat(y, U)
 
 
 def n_q(S: AffineSemigroup, facets: tuple[FacetData, ...] | None = None) -> int:

@@ -257,21 +257,22 @@ def reference_outside_orders(S, cert, facets, p, window, e_max, cap):
     level e the constructive test p^e u_i(v) >= u_i(gamma) and, when it
     fails, zero_class on p^e v, up to the first zero level.
 
-    Returns ({degree: order, or None past e_max}, the degrees handed to
-    zero_class, in call order).
+    Returns ({degree: order, or None past e_max}, {degree: the degrees
+    handed to zero_class for it, in call order}).
     """
-    orders, called = {}, []
+    orders, called = {}, {}
     for v in product(range(-window, window + 1), repeat=S.dim):
         signs = sign_vector(S.cone, v)
         if max(signs) <= 0:
             continue
         orders[v] = None
+        chain = called[v] = []
         for e in range(e_max + 1):
             if any(p**e * s >= f for s, f in zip(signs, cert.facet_values)):
                 orders[v] = e
                 break
-            called.append(vec_scale(v, p**e))
-            if zero_class(S, cert, facets, called[-1], cap).is_zero:
+            chain.append(vec_scale(v, p**e))
+            if zero_class(S, cert, facets, chain[-1], cap).is_zero:
                 orders[v] = e
                 break
     return orders, called

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from operator import ge
 
 import pytest
 
-from hslbound import cohomology
+from hslbound import cohomology, cones, intlinalg, semigroups
 from hslbound.cohomology import (
     HslReport,
     empirical_hsl,
@@ -110,6 +111,28 @@ def test_zero_class_dim1_exhaustive_nonzero(ns35, ns35_ctx):
     assert res.verdict == "nonzero" and res.certificate == "finite_facets"
     assert res.recheck(ns35, facets, (1,))
     assert zero_class(ns35, cert, facets, (8,), CAP).is_zero
+
+
+def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx):
+    # evidence that does not fit the facets fails the check, not raises
+    cert, facets = wedge_ctx
+    v = (-5, -1)
+    res = zero_class(wedge, cert, facets, v, CAP)
+    assert res.is_zero and res.recheck(wedge, facets, v)
+    for forged in (
+        replace(res, witness_coeffs=res.witness_coeffs + (0,)),
+        replace(res, witness_coeffs=None),
+        replace(res, facet=None),
+        replace(res, facet=7),
+        replace(res, facet=-1),
+    ):
+        assert forged.recheck(wedge, facets, v) is False, forged
+    cert, facets = ns35_ctx
+    res = zero_class(ns35, cert, facets, (1,), CAP)
+    assert res.certificate == "finite_facets" and res.recheck(ns35, facets, (1,))
+    for checked in ((), (0, 0), (1,)):
+        forged = replace(res, checked_facets=checked)
+        assert forged.recheck(ns35, facets, (1,)) is False, checked
 
 
 def test_zero_class_against_brute_force(wedge, wedge_ctx):
@@ -404,9 +427,10 @@ def orbit_tally(S, cert, facets, p, window, e_max, cap):
 
 
 def sweep_input(request, name):
-    """A fixture by name, W_7 / W_9 / D4, or "random-<rank>-<seed>": the
+    """A fixture by name, W_7 / W_9 / D4 / O_2 (the orthant), or
+    "random-<rank>-<seed>": the
     semigroup of random_raw_generators(random.Random(seed), rank)."""
-    gens = {"W_7": WEDGE_7, "W_9": WEDGE_9, "D4": D4_GENS}
+    gens = {"W_7": WEDGE_7, "W_9": WEDGE_9, "D4": D4_GENS, "O_2": ((1, 0), (0, 1))}
     if name in gens:
         return build(gens[name])
     if name.startswith("random-"):
@@ -435,6 +459,10 @@ def sweep_input(request, name):
         # large facet values: ceil(u_i(gamma) / 2^e) differs at ten levels
         ("W_9", 2, 4, 11, 20),
         ("W_9", 2, 5, 3, 40),  # e_max below the constructive level: unknowns
+        # window 0: the origin alone
+        ("d3", 5, 0, 3, 20),
+        ("ns35", 2, 0, 5, 80),
+        ("W_9", 2, 0, 3, 40),
     ],
 )
 def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap):
@@ -446,37 +474,134 @@ def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap)
 
 @pytest.mark.parametrize(
     "name, p, window, e_max, cap",
-    [("d3", 5, 4, 3, 20), ("d3", 2, 3, 5, 20), ("W_7", 2, 10, 10, 1750), ("W_7", 3, 8, 2, 30)],
+    [
+        ("d3", 5, 4, 3, 20),
+        ("d3", 2, 3, 5, 20),
+        ("W_7", 2, 10, 10, 1750),
+        ("W_7", 3, 8, 2, 30),
+        ("D4", 5, 2, 3, 40),
+        ("index2", 2, 6, 10, 20),  # u_2(gamma) = 0 and p <= N_Q: flags
+        ("ns35", 2, 20, 5, 80),  # rank 1: a single row
+        ("O_2", 3, 5, 4, 10),  # form 0 is constant along a row: long boundary runs
+        ("d3", 5, 0, 3, 20),
+        ("W_7", 2, 0, 10, 1750),
+        ("D4", 2, 1, 3, 40),
+        ("index2", 3, 1, 3, 20),
+    ],
 )
 def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
     # every outside degree gets the reference chain's order, and the sweep
-    # hands zero_class exactly the degrees the reference does, besides the
-    # calls frobenius_orbit makes on boundary degrees
+    # hands zero_class and frobenius_orbit the same degrees in the same
+    # order as a degree-by-degree walk: frobenius_orbit on each boundary
+    # degree and the reference chain on each outside degree
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
-    orders, reference_calls = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
-    assert reference_calls
+    orders, chains = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
+    # the chains are empty only in tiny windows or when Q is saturated (m_q = 0)
+    assert any(chains.values()) or window <= 1 or cert.m_q == 0
     thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
     for v, order in orders.items():
         signs = sign_vector(S.cone, v)
         got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
         assert got == order, v
-    calls = []
-    real = cohomology.zero_class
+    log = []
+    real_zero_class, real_orbit = cohomology.zero_class, cohomology.frobenius_orbit
 
-    def counting(S, cert, facets, v, cap, **kw):
-        calls.append(tuple(v))
-        return real(S, cert, facets, v, cap, **kw)
+    def zero_class_logged(S, cert, facets, v, cap, **kw):
+        log.append(("zero_class", tuple(v)))
+        return real_zero_class(S, cert, facets, v, cap, **kw)
 
-    monkeypatch.setattr(cohomology, "zero_class", counting)
+    def orbit_logged(S, cert, facets, v, *args):
+        log.append(("frobenius_orbit", tuple(v)))
+        return real_orbit(S, cert, facets, v, *args)
+
+    monkeypatch.setattr(cohomology, "zero_class", zero_class_logged)
+    monkeypatch.setattr(cohomology, "frobenius_orbit", orbit_logged)
     cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
-    sweep_calls = Counter(calls)
-    calls.clear()
+    sweep_log = log.copy()
+    log.clear()
     for v in product(range(-window, window + 1), repeat=S.dim):
-        if neg_region(sign_vector(S.cone, v)).kind == "neg_boundary":
+        top = max(sign_vector(S.cone, v))
+        if top == 0:
             cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap)
-    assert sweep_calls - Counter(calls) == Counter(reference_calls)
-    assert sweep_calls.total() == len(calls) + len(reference_calls)
+        elif top > 0:
+            log.extend(("zero_class", d) for d in chains[v])
+    assert ("frobenius_orbit", S.zero) in log
+    assert sweep_log == log
+
+
+# the window-sweep benchmark's sweeps: (input, p, window), verify defaults
+SWEEP_WORK_INPUTS = (("wedge", 2, 40), ("index2", 2, 30), ("d3", 5, 8), ("D4", 5, 4), ("W_7", 2, 80))
+
+
+def test_sweep_work_pinned(request, monkeypatch):
+    # the work of the five benchmark sweeps, counted: a fallback to a
+    # degree-by-degree walk or a facet Hermite form recomputed per solve
+    # moves these counts.  A pin changes only on purpose, stated with the
+    # change.
+    cases = []
+    for name, p, window in SWEEP_WORK_INPUTS:
+        S = sweep_input(request, name)
+        cert, facets = pipeline(S)
+        bound = theoretical_bound(cert, n_q(S, facets), p)
+        e_max = 10 if bound is None else bound + 2
+        cases.append((S, cert, facets, p, window, e_max, 10 * cert.m_q))
+    calls, verdicts = Counter(), Counter()
+
+    def counting(name, real, tally=None):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            out = real(*args, **kw)
+            if tally is not None:
+                tally[out.verdict] += 1
+            return out
+
+        return wrapper
+
+    for name, tally in (("zero_class", verdicts), ("frobenius_orbit", None), ("_outside_order", None)):
+        monkeypatch.setattr(cohomology, name, counting(name, getattr(cohomology, name), tally))
+    real_hnf = intlinalg.hermite_normal_form
+    hnf = counting("hermite_normal_form", real_hnf)
+    for module in (intlinalg, cones, semigroups, cohomology):
+        if getattr(module, "hermite_normal_form", None) is real_hnf:
+            monkeypatch.setattr(module, "hermite_normal_form", hnf)
+    for case in cases:
+        empirical_hsl(*case)
+    # at most one Hermite form per facet lattice, kept on its FacetData
+    facet_count = sum(len(facets) for _, _, facets, *_ in cases)
+    assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
+    assert calls == {"zero_class": 6971, "frobenius_orbit": 340, "_outside_order": 6418}
+    assert verdicts == {"zero": 6528, "nonzero": 279, "unknown": 164}
+
+
+def test_row_runs_against_brute_force():
+    # one row of signs base + x * column, |x| <= window: the interior count,
+    # the boundary positions and the visited outside positions (outside
+    # -sigma, not constructive at level 0), against neg_region and
+    # _constructive_level degree by degree
+    rng = random.Random(23)
+    for _ in range(3000):
+        m = rng.randint(1, 4)
+        window = rng.randint(0, 5)
+        base = tuple(rng.randint(-12, 12) for _ in range(m))
+        column = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(m))
+        values = tuple(rng.choice((0, 1, rng.randint(0, 20))) for _ in range(m))
+        thresholds = cohomology._constructive_thresholds(values, 2, 3)
+        interior, nonpositive, runs = cohomology._row_runs(base, column, window, values)
+        kinds = {}
+        for x in range(-window, window + 1):
+            signs = tuple(b + x * c for b, c in zip(base, column))
+            kinds[x] = neg_region(signs).kind
+            if kinds[x] == "outside_neg" and cohomology._constructive_level(signs, thresholds, 3) == 0:
+                kinds[x] = "order_0"
+        case = (base, column, window, values)
+        visited = [(boundary, x) for boundary, run in runs for x in run]
+        expected = [x for x, kind in kinds.items() if kind in ("neg_boundary", "outside_neg")]
+        assert [x for _, x in visited] == expected, case
+        assert all(boundary == (kinds[x] == "neg_boundary") for boundary, x in visited), case
+        counts = Counter(kinds.values())
+        assert interior == counts["neg_interior"], case
+        assert nonpositive == counts["neg_interior"] + counts["neg_boundary"], case
 
 
 def test_constructive_level_against_brute_force():

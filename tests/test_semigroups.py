@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from hslbound.errors import BudgetExhaustedError, EmptyInputError, NotPointedError
-from hslbound.intlinalg import dot, vec_add
+from hslbound import semigroups
+from hslbound.intlinalg import dot, solve_in_row_lattice, vec_add, vec_scale
 from hslbound.semigroups import (
     all_facet_data,
     build,
@@ -353,6 +354,45 @@ def test_facet_witness_combo(wedge):
     fd0 = facet_data(wedge, 0)
     assert facet_witness_combo(fd0, (-10, -2)) == (-2,)
     assert facet_witness_combo(fd0, (1, 0)) is None
+
+
+def test_facet_witness_combo_matches_row_lattice(monkeypatch, d3, index2):
+    # the kept Hermite form gives the coefficients solve_in_row_lattice
+    # gives, on targets in the facet lattice, in the hyperplane lattice
+    # and off the hyperplane; each facet builds its Hermite form once
+    rng = random.Random(5150)
+    inputs = [d3, index2, build(D4_GENS)]
+    inputs += [build(random_raw_generators(rng, rank)) for rank in (2, 3, 4) for _ in range(4)]
+    built = []
+    real = semigroups.hermite_normal_form
+
+    def counting(A):
+        built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(semigroups, "hermite_normal_form", counting)
+    solved = Counter()
+    for S in inputs:
+        for fd in all_facet_data(S):
+            built.clear()
+            for _ in range(15):
+                inside = S.zero
+                for g in fd.facet_gens:
+                    inside = vec_add(inside, vec_scale(g, rng.randint(-3, 3)))
+                step = rng.choice(fd.hyperplane_basis)
+                off = tuple(rng.randint(-2, 2) for _ in range(S.dim))
+                targets = (
+                    ("lattice", inside),
+                    ("hyperplane", vec_add(inside, step)),
+                    ("off", vec_add(inside, off)),
+                )
+                for kind, target in targets:
+                    expected = solve_in_row_lattice(fd.facet_gens, target)
+                    assert facet_witness_combo(fd, target) == expected, (fd.index, target)
+                    solved[kind, expected is not None] += 1
+            assert built == [fd.facet_gens]
+    assert not solved["lattice", False]
+    assert solved["hyperplane", False] and solved["off", False]
 
 
 def test_nq_wedge_and_1d(wedge, ns35, ns479):
