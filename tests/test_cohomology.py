@@ -428,8 +428,8 @@ def orbit_tally(S, cert, facets, p, window, e_max, cap):
 
 def sweep_input(request, name):
     """A fixture by name, W_7 / W_9 / D4 / O_2 (the orthant), or
-    "random-<rank>-<seed>": the
-    semigroup of random_raw_generators(random.Random(seed), rank)."""
+    "random-<rank>-<seed>": the semigroup of
+    random_raw_generators(random.Random(seed), rank)."""
     gens = {"W_7": WEDGE_7, "W_9": WEDGE_9, "D4": D4_GENS, "O_2": ((1, 0), (0, 1))}
     if name in gens:
         return build(gens[name])
