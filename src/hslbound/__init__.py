@@ -40,7 +40,6 @@ from .intlinalg import (
     SmithDecomposition,
     hermite_normal_form,
     is_prime,
-    kernel_basis,
     largest_prime_factor,
     primitive,
     smith_normal_form,
@@ -96,7 +95,6 @@ __all__ = [
     "hsl_exact_dim1",
     "is_pointed",
     "is_prime",
-    "kernel_basis",
     "largest_prime_factor",
     "member",
     "n_q",

@@ -10,22 +10,26 @@ integer products and floor division, without rationals.
 
 No rank or sign question here needs a normal form.  The double
 description keeps a candidate ray iff no other candidate's zero set
-strictly contains its own; a ridge normal of the triangulation is the
-vector of signed maximal minors of its rays; ranks come from
-fraction-free elimination (intlinalg.matrix_rank).  Hermite forms are
-left to the parallelepiped box, which reads their diagonal.
+strictly contains its own, and each candidate's zero set is derived from
+its parents' zero sets rather than from dot products; a generator spans
+an extreme ray by the same test on the generators' zero sets.  A ridge
+normal of the triangulation is the vector of signed maximal minors of
+its rays; ranks come from fraction-free elimination
+(intlinalg.matrix_rank).  A parallelepiped takes its adjugate and
+determinant from one elimination pass (intlinalg.adjugate_det), and it
+reads only the diagonal of the rays' Hermite form: the sides of the box
+it walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from operator import add, mul
 
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    adjugate,
+    adjugate_det,
     det,
     dot,
     hermite_normal_form,
@@ -83,7 +87,7 @@ class Cone:
             tuple(j for j, gv in enumerate(values) if gv[i] == 0) for i in range(len(forms))
         )
         pointed = matrix_rank(forms) == dim
-        reps = _extreme_ray_reps(gens, forms, values, dim) if pointed else ()
+        reps = _extreme_ray_reps(gens, values) if pointed else ()
         return cls(dim, gens, forms, reps, facet_sets, values)
 
     @property
@@ -98,18 +102,20 @@ class Cone:
         return tuple(self.generators[i] for i in self.extreme_ray_reps)
 
 
-def _extreme_ray_reps(gens, forms, values, n):
-    # a generator spans an extreme ray iff the forms vanishing on it have
-    # rank n-1; among generators on the same ray keep the one minimizing
-    # (grading value, lex), rays ordered by first appearance.  values[j]
-    # is the form vector of generator j, so its grading value (the
-    # functional Cone.grading) is sum(values[j])
+def _extreme_ray_reps(gens, values):
+    # on a pointed cone a generator spans an extreme ray iff no other
+    # generator's zero set (the facets through it) strictly contains its
+    # own: the facets through a face name it, and a face of dimension >= 2
+    # holds a generator on one of its extreme rays, a smaller face.  Among
+    # generators on the same ray keep the one minimizing (grading value,
+    # lex), rays ordered by first appearance.  values[j] is the form
+    # vector of generator j, so its grading value (the functional
+    # Cone.grading) is sum(values[j])
+    zeros = [frozenset(i for i, val in enumerate(gv) if val == 0) for gv in values]
     order: list[IntVector] = []
     best: dict[IntVector, int] = {}
-    for idx, (g, gv) in enumerate(zip(gens, values)):
-        active = [u for u, val in zip(forms, gv) if val == 0]
-        rk = matrix_rank(active) if active else 0
-        if rk != n - 1:
+    for idx, (g, gv, z) in enumerate(zip(gens, values, zeros)):
+        if any(z < other for other in zeros):
             continue
         key = primitive(g)
         if key not in best:
@@ -131,11 +137,18 @@ def support_forms(generators, n: int) -> IntMatrix:
 
     Incremental halfspace processing (the double description method):
     the dual of the first k generators is kept as (lineality basis, rays);
-    each new generator g restricts it to {u : u(g) >= 0}.  Rays are pruned
-    to extreme ones after every step by comparing zero sets (_prune_rays),
-    so the final ray set is exactly the facet normals, sorted for
-    determinism.  The only rank computed is the check that the generators
-    span rank n.
+    each new generator g_k restricts it to {u : u(g_k) >= 0}.  Every
+    candidate ray carries its zero set, the indices of the processed
+    generators it vanishes on, derived from its parents' with no dot
+    product: a ray on the positive side keeps its set, one on the
+    hyperplane, or projected along the lineality vector l0 (which
+    vanishes on every earlier generator), gains k; a combination of a
+    positive and a negative ray gets the intersection of theirs plus k;
+    and l0 itself, the new ray on the positive side, vanishes on every
+    earlier generator.  Rays are pruned to extreme ones after every step
+    by comparing zero sets (_prune_rays), so the final ray set is exactly
+    the facet normals, sorted for determinism.  The only rank computed is
+    the check that the generators span rank n.
     """
     gens = matrix(generators)
     if not gens:
@@ -145,53 +158,53 @@ def support_forms(generators, n: int) -> IntMatrix:
     if matrix_rank(gens) != n:
         raise ValueError("generators do not span rank n")
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[IntVector] = []
-    processed: list[IntVector] = []
-    for g in gens:
-        processed.append(g)
+    rays: list[tuple[IntVector, frozenset[int]]] = []
+    for k, g in enumerate(gens):
+        on_g = frozenset((k,))
         cvals = [dot(l, g) for l in lineality]
         if any(cvals):
-            k = next(i for i, c in enumerate(cvals) if c)
-            l0, c0 = lineality[k], cvals[k]
+            i0 = next(i for i, c in enumerate(cvals) if c)
+            l0, c0 = lineality[i0], cvals[i0]
             if c0 < 0:
                 l0, c0 = vec_neg(l0), -c0
             new_lin = []
-            for l, c in zip(lineality, cvals):
-                if l is lineality[k]:
-                    continue
-                new_lin.append(primitive(vec_sub(vec_scale(l, c0), vec_scale(l0, c))))
+            for i, (l, c) in enumerate(zip(lineality, cvals)):
+                if i != i0:
+                    new_lin.append(primitive(vec_sub(vec_scale(l, c0), vec_scale(l0, c))))
             # every old ray is projected along l0 onto {u(g) = 0}; l0
             # itself carries the positive side
             new_rays = []
-            for r in rays:
-                cr = dot(r, g)
-                pr = vec_sub(vec_scale(r, c0), vec_scale(l0, cr))
+            for r, z in rays:
+                pr = vec_sub(vec_scale(r, c0), vec_scale(l0, dot(r, g)))
                 if any(pr):
-                    new_rays.append(primitive(pr))
-            new_rays.append(l0)
+                    new_rays.append((primitive(pr), z | on_g))
+            new_rays.append((l0, frozenset(range(k))))
             lineality = new_lin
             rays = new_rays
         else:
-            withc = [(r, dot(r, g)) for r in rays]
-            plus = [(r, c) for r, c in withc if c > 0]
-            zero = [r for r, c in withc if c == 0]
-            minus = [(r, c) for r, c in withc if c < 0]
-            combos = []
-            for rp, cp in plus:
-                for rm, cm in minus:
-                    combos.append(
-                        primitive(vec_sub(vec_scale(rm, cp), vec_scale(rp, cm)))
-                    )
-            rays = [r for r, _ in plus] + zero + combos
-        rays = _prune_rays(rays, processed)
+            plus, zero, minus = [], [], []
+            for r, z in rays:
+                c = dot(r, g)
+                if c > 0:
+                    plus.append((r, z, c))
+                elif c == 0:
+                    zero.append((r, z | on_g))
+                else:
+                    minus.append((r, z, c))
+            rays = [(r, z) for r, z, _ in plus] + zero
+            for rp, zp, cp in plus:
+                for rm, zm, cm in minus:
+                    combo = primitive(vec_sub(vec_scale(rm, cp), vec_scale(rp, cm)))
+                    rays.append((combo, zp & zm | on_g))
+        rays = _prune_rays(rays)
     if lineality:
         raise AssertionError("generators span rank n, yet the dual cone has a lineality space")
-    return tuple(sorted(rays))
+    return tuple(sorted(r for r, _ in rays))
 
 
-def _prune_rays(rays, constraints):
-    """The candidates that span extreme rays of the current dual cone,
-    duplicates dropped, in first-seen order.
+def _prune_rays(rays):
+    """The (ray, zero set) candidates whose rays are extreme rays of the
+    current dual cone, duplicates dropped, in first-seen order.
 
     The zero set of a candidate is the set of constraints (processed
     generators) it vanishes on, and it names the smallest face holding
@@ -200,11 +213,12 @@ def _prune_rays(rays, constraints):
     double description method, Fukuda-Prodon 1996).  This is exact
     because the candidates always include every extreme ray of the
     current dual cone, and none lies in its lineality space, on which
-    every constraint vanishes.
+    every constraint vanishes.  The zero sets come with the candidates
+    (support_forms derives them), so no constraint is evaluated here.
     """
-    rays = list(dict.fromkeys(rays))
-    zeros = [frozenset(j for j, g in enumerate(constraints) if dot(r, g) == 0) for r in rays]
-    return [r for r, z in zip(rays, zeros) if not any(z < other for other in zeros)]
+    unique = dict(rays)
+    zeros = list(unique.values())
+    return [(r, z) for r, z in unique.items() if not any(z < other for other in zeros)]
 
 
 def is_pointed(cone: Cone) -> bool:
@@ -336,21 +350,65 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
 
     The box 0 <= x_i < H[i][i] under the diagonal of the row Hermite form
     H of the rays holds one point of each class of Z^n modulo the ray
-    lattice.  Each is wrapped into the half-open parallelepiped by
-    subtracting R @ floor(mu), where mu = adj(R) @ x / det(R) is floored
-    by integer division.  The count equals the determinant.
+    lattice.  Each x is wrapped into the half-open parallelepiped as
+    x - R @ floor(mu), where mu = adj(R) @ x / det(R), and adj(R) and
+    det(R) come from one elimination pass (adjugate_det).  The box is
+    walked like an odometer, with y = |det| * mu kept modulo |det| next
+    to the current point: a step of x adds a fixed vector to the point
+    and a fixed vector to y, and each y_j that wraps past |det| takes
+    ray j off the point once more, so no point costs a matrix product.
+    The count equals the determinant, and its distinct points are
+    checked against it.
     """
-    ray_gens = matrix(ray_gens)
-    R = transpose(ray_gens)  # columns are the rays
-    d = det(R)
-    if d == 0:
-        raise ValueError("rays are linearly dependent")
-    H, _ = hermite_normal_form(ray_gens)
-    adj = adjugate(R)
-    pts = []
-    for x in product(*(range(H[i][i]) for i in range(len(H)))):
-        fl = [sum(map(mul, row, x)) // d for row in adj]
-        pts.append(tuple([xi - sum(map(mul, row, fl)) for xi, row in zip(x, R)]))
+    rays = matrix(ray_gens)
+    n = len(rays)
+    adj, d = adjugate_det(transpose(rays))  # the columns of R are the rays
+    if d < 0:
+        adj = tuple(map(vec_neg, adj))
+    d = abs(d)
+    H, _ = hermite_normal_form(rays)
+    top = [H[i][i] - 1 for i in range(n)]
+    # steps[k] advances digit k by one and resets every later digit to 0:
+    # the residues it adds to y, and the point's change for each set of
+    # wrapped y_j (a bit mask), filled in as masks occur
+    steps = []
+    for k in range(n):
+        dx = [0] * k + [1] + [-t for t in top[k + 1 :]]
+        shift, carry = tuple(dx), []
+        for a, r in zip(adj, rays):
+            q, rem = divmod(sum(map(mul, a, dx)), d)
+            shift = vec_sub(shift, vec_scale(r, q))
+            carry.append(rem)
+        steps.append((carry, {0: shift}))
+    x = [0] * n
+    y = [0] * n
+    point = (0,) * n
+    pts = [point]
+    k = n - 1
+    while k >= 0:
+        if x[k] == top[k]:
+            x[k] = 0
+            k -= 1
+            continue
+        x[k] += 1
+        carry, moves = steps[k]
+        wrapped = 0
+        for j, rem in enumerate(carry):
+            yj = y[j] + rem
+            if yj >= d:
+                yj -= d
+                wrapped |= 1 << j
+            y[j] = yj
+        move = moves.get(wrapped)
+        if move is None:
+            move = moves[0]
+            for j, r in enumerate(rays):
+                if wrapped >> j & 1:
+                    move = vec_sub(move, r)
+            moves[wrapped] = move
+        point = tuple(map(add, point, move))
+        pts.append(point)
+        k = n - 1
     if len(set(pts)) != sub.determinant:
         raise AssertionError(
             f"{len(set(pts))} distinct parallelepiped points, determinant {sub.determinant}"

@@ -334,24 +334,62 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 # kernels and lattice solving
 
 
-def kernel_basis(A: IntMatrix) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : A @ x == 0}, HNF-canonicalized."""
-    A = matrix(A)
-    if not A:
-        raise ValueError("empty matrix")
-    H, U = hermite_normal_form(transpose(A))
-    rows = [U[i] for i in range(len(H)) if not any(H[i])]
-    if not rows:
-        return ()
-    KH, _ = hermite_normal_form(rows)
-    return tuple(r for r in KH if any(r))
+def hyperplane_basis(u) -> IntMatrix:
+    """The row Hermite basis of the lattice {x : u . x == 0}, u primitive.
+
+    Read off u without a normal form.  Let l be the last nonzero index of
+    u.  Each j > l, and each j < l with u_j == 0, gets the row e_j.  Any
+    other j < l gets the pivot h_j = g / gcd(u_j, g), where g is the gcd
+    of u_{j+1}, ..., u_{n-1}: the least x_j > 0 that some tail completes
+    to a kernel vector.  The tail comes from a Bezout vector of that gcd,
+    built by an xgcd chain from the right.  The entries above each pivot
+    are then reduced into [0, pivot), which makes the basis the unique
+    Hermite one.  Raises ValueError on a zero or non-primitive u.
+    """
+    u = vector(u)
+    if math.gcd(*u) != 1:
+        raise ValueError(f"{u} is not a primitive form")
+    n = len(u)
+    last = max(j for j, e in enumerate(u) if e)
+    # bezout is zero left of the suffix u_{j+1}, ..., u_{n-1}, and
+    # u . bezout == g, the gcd of that suffix
+    g = abs(u[last])
+    bezout = [0] * n
+    bezout[last] = 1 if u[last] > 0 else -1
+    rows = []
+    for j in range(last - 1, -1, -1):
+        uj = u[j]
+        if uj:
+            h = g // math.gcd(uj, g)
+            q = -h * uj // g  # exact: g divides h * u_j
+            row = [q * e for e in bezout]
+            row[j] = h
+            g, a, b = xgcd(uj, g)
+            bezout = [b * e for e in bezout]
+            bezout[j] = a
+        else:
+            row = [0] * n
+            row[j] = 1
+        rows.append(row)
+    rows.reverse()
+    for j in range(last + 1, n):
+        row = [0] * n
+        row[j] = 1
+        rows.append(row)
+    pivots = [j for j in range(n) if j != last]
+    for i, row in enumerate(rows):
+        for lower, col in zip(rows[i + 1 :], pivots[i + 1 :]):
+            q = row[col] // lower[col]
+            if q:
+                row[:] = [s - q * t for s, t in zip(row, lower)]
+    return tuple(map(tuple, rows))
 
 
 def solve_in_hermite_basis(H, target) -> IntVector | None:
     """Integer y with y @ H == target, or None.
 
     H is in row Hermite form (hermite_normal_form's H, its nonzero rows,
-    or a kernel_basis), so back-substitution along the pivots solves it
+    or a hyperplane_basis), so back-substitution along the pivots solves it
     without computing a normal form again.
     """
     y = [0] * len(H)
@@ -422,23 +460,41 @@ def solve_rational(A, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def adjugate(A: IntMatrix) -> IntMatrix:
-    """Integer adjugate, the transposed cofactor matrix: A @ adj == det(A) * I.
+def adjugate_det(A: IntMatrix) -> tuple[IntMatrix, int]:
+    """(adj A, det A) of a nonsingular square A, so A @ adj == det(A) * I.
 
-    Each cofactor is a Bareiss determinant of a minor, so nothing leaves
-    the integers, and a singular matrix gets its adjugate too.
+    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I] clears
+    every column above and below its pivot; columns left of the pivot
+    are never read again, so they are not updated.  Each entry after step
+    k is a (k+1)-minor of the row-permuted [A | I], so every division by
+    the previous pivot is exact.  The right block ends as d * A^-1 with d
+    the last pivot, and each row swap flips the sign that turns it into
+    adj A.  Raises ValueError when A is singular.
     """
-    A = matrix(A)
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("adjugate needs a square matrix")
-
-    def minor(i, j):
-        return tuple(r[:j] + r[j + 1 :] for k, r in enumerate(A) if k != i)
-
-    return tuple(
-        tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(n)) for i in range(n)
-    )
+    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(A)]
+    sign, prev = 1, 1
+    for c in range(n):
+        top = M[c]
+        p = top[c]
+        if not p:
+            pivot = next((i for i in range(c + 1, n) if M[i][c]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            top, M[pivot] = M[pivot], top
+            M[c] = top
+            p = top[c]
+            sign = -sign
+        tail = top[c + 1 :]
+        for i, row in enumerate(M):
+            if i != c:
+                a = row[c]
+                row[c + 1 :] = [(e * p - a * t) // prev for e, t in zip(row[c + 1 :], tail)]
+        prev = p
+    adj = tuple(tuple(sign * e for e in row[n:]) for row in M)
+    return adj, sign * prev
 
 
 # ---------------------------------------------------------------------------

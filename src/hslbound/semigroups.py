@@ -22,7 +22,7 @@ from .intlinalg import (
     IntVector,
     dot,
     hermite_normal_form,
-    kernel_basis,
+    hyperplane_basis,
     largest_prime_factor,
     matrix,
     smith_normal_form,
@@ -384,11 +384,15 @@ class FacetData:
 
     facet_gens generate the facet semigroup (a generator sum can only land
     on the facet if every summand does, since the form is nonnegative on
-    all generators).  coord_matrix expresses them in the hyperplane basis;
-    its Smith invariant factors measure the index of the facet semigroup's
-    lattice inside the full hyperplane lattice.  smith_v is the column
-    transform V of that Smith form: hyperplane coordinates a lie in the
-    facet lattice iff each invariant factor d_j divides (a @ V)_j.
+    all generators).  hyperplane_basis is the Hermite basis of the
+    hyperplane lattice {x : u . x == 0}, read off the primitive support
+    form u without a normal form (intlinalg.hyperplane_basis).
+    coord_matrix expresses the facet generators in that basis, by
+    back-substitution along its pivots; its Smith invariant factors
+    measure the index of the facet semigroup's lattice inside the full
+    hyperplane lattice.  smith_v is the column transform V of that Smith
+    form: hyperplane coordinates a lie in the facet lattice iff each
+    invariant factor d_j divides (a @ V)_j.
 
     The Hermite form (H, U) of facet_gens, which facet_witness_combo solves
     against, is computed on the first solve and kept, as
@@ -418,9 +422,7 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     fgens = tuple(S.generators[j] for j in idxs)
     if n == 1:
         return FacetData(i, u, idxs, fgens, (), (), (), S.zero, ())
-    basis = kernel_basis((u,))
-    if len(basis) != n - 1:
-        raise AssertionError(f"facet {i}: hyperplane lattice has rank {len(basis)}, not {n - 1}")
+    basis = hyperplane_basis(u)
     coords = matrix([solve_in_hermite_basis(basis, g) for g in fgens])
     snf = smith_normal_form(coords)
     # the generators span the hyperplane iff there are n-1 nonzero factors

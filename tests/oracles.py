@@ -4,7 +4,9 @@ Everything here is deliberately naive: bounded enumeration, exact rational
 elimination, subset search.  None of it shares code paths with the library
 routines it checks.  The reference chain of the window sweep and
 `decompose` are plain per-call versions of what the library does in bulk,
-or no longer does at all.
+or no longer does at all; so are `kernel_basis` and the cofactor
+`adjugate`, which the library replaced by `hyperplane_basis` and
+`adjugate_det`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from itertools import combinations, product
 from hslbound.cohomology import zero_class
 from hslbound.cones import sign_vector
 from hslbound.intlinalg import (
-    adjugate,
     det,
     dot,
+    hermite_normal_form,
     mat_vec,
     matrix,
     matrix_rank,
@@ -30,6 +32,44 @@ from hslbound.intlinalg import (
     vec_scale,
     vec_sub,
 )
+
+
+def kernel_basis(A):
+    """Basis of the integer kernel {x : A @ x == 0}, Hermite-canonicalized.
+
+    Two Hermite forms: the rows of U that clear A^T span the kernel, and
+    the second form makes that basis canonical.  The reference for
+    intlinalg.hyperplane_basis on one-row A.
+    """
+    A = matrix(A)
+    if not A:
+        raise ValueError("empty matrix")
+    H, U = hermite_normal_form(transpose(A))
+    rows = [U[i] for i in range(len(H)) if not any(H[i])]
+    if not rows:
+        return ()
+    KH, _ = hermite_normal_form(rows)
+    return tuple(r for r in KH if any(r))
+
+
+def adjugate(A):
+    """Integer adjugate, the transposed cofactor matrix: A @ adj == det(A) * I.
+
+    Each cofactor is a Bareiss determinant of a minor, so a singular
+    matrix gets its adjugate too.  The reference for
+    intlinalg.adjugate_det.
+    """
+    A = matrix(A)
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("adjugate needs a square matrix")
+
+    def minor(i, j):
+        return tuple(r[:j] + r[j + 1 :] for k, r in enumerate(A) if k != i)
+
+    return tuple(
+        tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int, lo: int, hi: int):
@@ -199,15 +239,21 @@ def brute_min_power_in_numerical(gens, p):
 
 
 def brute_parallelepiped(rays):
-    """Lattice points sum(mu_k * r_k) with 0 <= mu_k < 1, by box scan."""
+    """Lattice points sum(mu_k * r_k) with 0 <= mu_k < 1, by box scan.
+
+    The columns of R^-1 are solved for once in Fractions and scaled by
+    the common denominator D to integers, so D * mu = (D * R^-1) @ v is
+    tested against [0, D) in integers."""
     n = len(rays[0])
     A = tuple(zip(*rays))  # columns are the rays
+    inverse_cols = [solve_rational(A, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    D = math.lcm(*(f.denominator for col in inverse_cols for f in col))
+    scaled = [[int(col[k] * D) for col in inverse_cols] for k in range(n)]
     lo = [sum(min(r[j], 0) for r in rays) for j in range(n)]
     hi = [sum(max(r[j], 0) for r in rays) for j in range(n)]
     pts = []
     for v in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        mu = solve_rational(A, v)
-        if mu is not None and all(0 <= f < 1 for f in mu):
+        if all(0 <= dot(row, v) < D for row in scaled):
             pts.append(v)
     return sorted(pts)
 

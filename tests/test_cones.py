@@ -12,8 +12,17 @@ from hslbound.cones import (
     support_forms,
     triangulate,
 )
-from hslbound.intlinalg import det, dot, matrix, solve_rational, transpose, vec_add
+from hslbound.intlinalg import (
+    det,
+    dot,
+    hermite_normal_form,
+    matrix,
+    solve_rational,
+    transpose,
+    vec_add,
+)
 from oracles import (
+    adjugate,
     brute_extreme_ray_reps,
     brute_in_cone,
     brute_parallelepiped,
@@ -252,6 +261,32 @@ def test_parallelepiped_random_against_brute_force():
                 signs.add(det(order) > 0)
                 assert list(parallelepiped_points(sub, order)) == want, order
     assert signs == {True, False}
+
+
+def test_parallelepiped_walk_large_determinants():
+    # det >= 100, adjugate entries larger than |det| (a step of the walk
+    # then wraps a residue more than once), and Hermite boxes with more
+    # than one nontrivial digit (the walk resets inner digits)
+    rng = random.Random(29)
+    cases = [((6, 0), (3, 20)), ((6, 3, 0), (0, 5, 0), (2, 0, 5))]
+    for k in range(6):
+        b, d, sign = rng.randint(1, 60), rng.randint(100, 140), rng.choice((-1, 1))
+        rays = [(sign * (b + d), 1), (sign * b, 1)]
+        if k % 2:
+            rays = [r + (0,) for r in rays] + [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 2))]
+        rng.shuffle(rays)
+        rays = tuple(rays)
+        assert abs(det(rays)) >= 100
+        assert max(abs(e) for r in adjugate(transpose(rays)) for e in r) > abs(det(rays))
+        cases.append(rays)
+    digits = set()
+    for rays in cases:
+        n = len(rays)
+        H, _ = hermite_normal_form(rays)
+        digits.add(sum(H[i][i] > 1 for i in range(n)))
+        sub = SimplicialSubcone(tuple(range(n)), abs(det(rays)))
+        assert list(parallelepiped_points(sub, rays)) == brute_parallelepiped(rays), rays
+    assert {1, 2} <= digits
 
 
 def test_decompose_examples():

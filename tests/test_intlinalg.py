@@ -1,15 +1,16 @@
+import math
 import random
 
 import pytest
 
 from hslbound.intlinalg import (
     SmithDecomposition,
-    adjugate,
+    adjugate_det,
     det,
     hermite_normal_form,
+    hyperplane_basis,
     identity_matrix,
     is_prime,
-    kernel_basis,
     largest_prime_factor,
     mat_mul,
     matrix_rank,
@@ -22,7 +23,13 @@ from hslbound.intlinalg import (
     vec_mat,
     xgcd,
 )
-from oracles import brute_kernel_vectors, brute_row_lattice, random_int_matrix
+from oracles import (
+    adjugate,
+    brute_kernel_vectors,
+    brute_row_lattice,
+    kernel_basis,
+    random_int_matrix,
+)
 
 
 def assert_hnf_shape(H):
@@ -229,6 +236,38 @@ def test_kernel_spans_brute_solutions():
             assert solve_in_row_lattice(basis, x) is not None
 
 
+def test_hyperplane_basis_matches_kernel_basis():
+    # lengths 1-6, entries in [-9, 9] with zeros and negatives, plus forms
+    # with a single nonzero entry and forms whose last entry is 0
+    rng = random.Random(11)
+    shapes = {"single": 0, "last zero": 0}
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(1, 6)
+        u = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+        if rng.random() < 0.1:
+            u = [0] * n
+            u[rng.randrange(n)] = rng.choice((-1, 1))
+        if math.gcd(*u) != 1:
+            continue
+        basis = hyperplane_basis(u)
+        assert basis == kernel_basis((tuple(u),)), u
+        assert len(basis) == n - 1
+        shapes["single"] += sum(1 for e in u if e) == 1
+        shapes["last zero"] += u[-1] == 0
+        checked += 1
+    assert all(count > 100 for count in shapes.values()), shapes
+    assert hyperplane_basis((1,)) == ()
+    assert hyperplane_basis((-1, 5)) == ((5, 1),)
+    assert hyperplane_basis((0, 3, -2, 0)) == ((1, 0, 0, 0), (0, 2, 3, 0), (0, 0, 0, 1))
+
+
+def test_hyperplane_basis_rejects_zero_and_imprimitive_forms():
+    for u in ((), (0,), (0, 0, 0), (2,), (2, 4), (0, -6, 9), (3, 0, 3)):
+        with pytest.raises(ValueError):
+            hyperplane_basis(u)
+
+
 def test_solve_in_row_lattice():
     assert solve_in_row_lattice(((5, 1), (1, 4)), (6, 5)) == (1, 1)
     assert solve_in_row_lattice(((2, 0),), (3, 0)) is None
@@ -289,6 +328,36 @@ def test_adjugate_against_sympy():
         A = random_int_matrix(rng, n, n, -6, 6)
         ref = sympy.Matrix(A).adjugate().tolist()
         assert adjugate(A) == tuple(tuple(int(e) for e in r) for r in ref), A
+
+
+def test_adjugate_det_one_pass():
+    # the one-pass helper against the cofactor adjugate and Bareiss det,
+    # on matrices that need row swaps (zero leading entries) and on
+    # larger entries; singular matrices raise
+    rng = random.Random(8)
+    swapped = singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        A = random_int_matrix(rng, n, n, -30, 30)
+        if rng.random() < 0.3:
+            A = tuple(
+                tuple(0 if rng.random() < 0.5 else e for e in r) for r in A
+            )
+        d = det(A)
+        if d == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                adjugate_det(A)
+            continue
+        swapped += A[0][0] == 0
+        adj, dd = adjugate_det(A)
+        assert dd == d
+        assert adj == adjugate(A), A
+        d_identity = tuple(tuple(d * e for e in r) for r in identity_matrix(n))
+        assert mat_mul(A, adj) == d_identity
+    assert swapped > 10 and singular > 10
+    with pytest.raises(ValueError):
+        adjugate_det(((1, 2),))
 
 
 def test_primitive():
