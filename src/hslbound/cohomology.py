@@ -29,6 +29,18 @@ outside degrees are visited; for those the constructive level is read
 from per-facet thresholds ceil(u_i(gamma) / p^e), O(m * (e_max + 1))
 integers computed once per sweep, and only the levels below it call
 zero_class.
+
+Outside -sigma the capped oracle is monotone along Q: if v - g is outside
+-sigma, g in Q, and level e of v - g is zero (by membership, the
+constructive witness or a capped-search witness w), then level e of v is
+zero by the same route, since every u_i only grows when g is added, so
+w's facet stays eligible and v + w = (v - g + w) + g stays in Q.  So the
+sweep keeps the orders of the outside degrees it visited, and a degree's
+order is at most the least order of its visited outside predecessors
+v - g, g a generator; only the levels below that bound call zero_class.
+Boundary orders come from the uncapped lattice test, which the capped
+oracle need not match one generator further, so they are never used as a
+bound.
 """
 
 from __future__ import annotations
@@ -488,21 +500,37 @@ def _constructive_level(signs, thresholds, e_max: int) -> int:
     return e_max + 1
 
 
-def _outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds) -> int | None:
+UNSET = 255  # an order-table byte with no order stored
+
+
+def _outside_order(
+    S, cert, facets, v, signs, p, e_max, cap, thresholds, known=None
+) -> int | None:
     """Least e <= e_max with [x^{p^e v}] zero, for v outside -sigma.
 
-    The constructive level e_c is read off the thresholds; only the levels
-    below it go to zero_class, in order, with the signs scaled by p^e.
+    The constructive level e_c is read off the thresholds.  known, when
+    given, is a level already known to be zero at this cap: the order of
+    some v - g, g in Q, that is itself outside -sigma.  Every route that
+    kills level e of v - g kills level e of v: the conductor and
+    membership tests because Q + g lies in Q, the constructive test
+    because u_i(g) >= 0, and a capped-search witness w on facet i because
+    u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible and v + w - g in Q
+    gives v + w in Q.  The order of a boundary v - g comes from the
+    uncapped lattice test and has no such relation to v.  Only the levels
+    below min(known, e_c) go to zero_class, in order, with the signs scaled
+    by p^e; the order is the first zero among them, or that minimum.
     """
-    e_c = _constructive_level(signs, thresholds, e_max)
+    top = _constructive_level(signs, thresholds, e_max)
+    if known is not None:
+        top = min(top, known)
     power = 1
-    for e in range(e_c):
+    for e in range(top):
         if zero_class(
             S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
         ).is_zero:
             return e
         power *= p
-    return e_c if e_c <= e_max else None
+    return top if top <= e_max else None
 
 
 def _row_interval(base, column, bounds, window: int) -> range:
@@ -582,18 +610,34 @@ def empirical_hsl(
     * the other outside degrees, visited: the constructive level e_c, the
       least e at which some facet has p^e u_i(v) >= u_i(gamma), is read
       from the per-facet thresholds ceil(u_i(gamma) / p^e), computed once
-      per sweep (O(m * (e_max + 1)) integers, independent of m_q).  Only
-      the levels below e_c go to zero_class, stopping at the first zero;
-      otherwise the order is e_c, or unknown when e_c > e_max.  No witness
-      is kept.  As in frobenius_orbit, a nonzero level with p^e >= m_q,
-      e <= e_max, means the constructive witness failed, and raises
-      AssertionError.
+      per sweep (O(m * (e_max + 1)) integers, independent of m_q).  The
+      order is also at most k, the least order already found for a v - g,
+      g a generator, that is an outside degree visited earlier (see
+      below).  Only the levels below min(k, e_c) go to zero_class,
+      stopping at the first zero; otherwise the order is that minimum, or
+      unknown when it exceeds e_max.  No witness is kept.  As in
+      frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max, means
+      the constructive witness failed, and raises AssertionError.
 
-    The work is O(rows * m) plus the visited degrees, which are taken in
-    lexicographic order, so zero_class and frobenius_orbit see the same
-    degrees in the same order as a degree-by-degree walk, and reports are
-    deterministic.  Raises ValueError for p < 2 or a negative window,
-    e_max or cap.
+    The bound k rests on a lemma: for v - g outside -sigma and g in Q, a
+    level of v - g that is zero at this cap is zero for v at this cap, by
+    the same route and witness (see _outside_order).  So the order of v
+    is at most that of v - g; the levels below k decide it exactly, and
+    reports are the same as without the bound.  Boundary orders are exact
+    and uncapped, and the lemma fails for them: on D3 at p = 5 the
+    boundary degree (-6,2,-6) has order 0 while (-2,1,-5), one generator
+    further, has capped order 1.  So only outside orders are kept, in an
+    order table of one byte per box degree, (2 * window + 1)^n bytes,
+    freed when the sweep returns; orders of 255 or more and unknown ones
+    are not kept.  A v - g visited after v (g not lexicographically
+    positive) or outside the box gives no bound.
+
+    The work is O(rows * (m + number of generators)) plus the visited
+    degrees, which are taken in lexicographic order, so frobenius_orbit
+    sees the same degrees in the same order as a degree-by-degree walk,
+    and zero_class sees the part of that walk's calls the bounds leave.
+    Reports are deterministic.  Raises ValueError for p < 2 or a negative
+    window, e_max or cap.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
     nq = n_q(S, facets)
@@ -615,7 +659,17 @@ def empirical_hsl(
     columns = tuple(zip(*S.support_forms))  # column k: the forms at e_k
     multiples = [{c: vec_scale(col, c) for c in coords} for col in columns]
     last, last_multiples = columns[-1], multiples[-1]
-    for prefix in product(coords, repeat=S.dim - 1):
+    # the order of each visited outside degree, by position in the box;
+    # UNSET for every other degree and for orders that do not fit a byte
+    orders = bytearray([UNSET]) * width**S.dim
+    # per generator g: the position shift of v -> v - g, and per coordinate
+    # the values c with c - g_k in [-window, window]
+    place = tuple(width**k for k in reversed(range(S.dim)))
+    steps = tuple(
+        (dot(g, place), tuple(range(c - window, c + window + 1) for c in g))
+        for g in S.generators
+    )
+    for row, prefix in enumerate(product(coords, repeat=S.dim - 1)):
         base = (0,) * len(last)
         for c, mult in zip(prefix, multiples):
             base = tuple(map(add, base, mult[c]))
@@ -624,10 +678,17 @@ def empirical_hsl(
         region_counts["neg_boundary"] += nonpositive - interior
         region_counts["outside_neg"] += width - nonpositive
         class_counts["not_nilpotent"] += interior
+        outside_visits = sum(len(run) for boundary, run in runs if not boundary)
         # outside and constructive at level 0: order 0
-        class_counts["nilpotent"] += width - nonpositive - sum(
-            len(run) for boundary, run in runs if not boundary
-        )
+        class_counts["nilpotent"] += width - nonpositive - outside_visits
+        # the generators g with prefix - g[:-1] in the box, each with its
+        # shift and the x at which x - g[-1] is in the box too
+        preds = tuple(
+            (shift, spans[-1])
+            for shift, spans in steps
+            if all(map(range.__contains__, spans, prefix))
+        ) if outside_visits else ()
+        start = row * width + window  # box position of (prefix, 0)
         for boundary, run in runs:
             for x in run:
                 v = prefix + (x,)
@@ -638,9 +699,17 @@ def empirical_hsl(
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)
                 else:
-                    order = _outside_order(
-                        S, cert, facets, v, signs, p, e_max, cap, thresholds
+                    pos = start + x
+                    known = min(
+                        (orders[pos - shift] for shift, span in preds if x in span),
+                        default=UNSET,
                     )
+                    order = _outside_order(
+                        S, cert, facets, v, signs, p, e_max, cap, thresholds,
+                        None if known == UNSET else known,
+                    )
+                    if order is not None and order < UNSET:
+                        orders[pos] = order
                     last_nonzero = e_max if order is None else order - 1
                     if e_witness <= last_nonzero:
                         raise AssertionError(

@@ -86,6 +86,16 @@ def random_raw_generators(rng: random.Random, rank: int):
     ]
 
 
+def random_signed_generators(rng: random.Random, rank: int, spread: int):
+    """rank + 2 rank-dimensional generators, the last coordinate in [1, 2]
+    (a positive grading on them) and the others in [-spread, spread], so
+    that some generators are not lexicographically positive."""
+    return [
+        tuple(rng.randint(-spread, spread) for _ in range(rank - 1)) + (rng.randint(1, 2),)
+        for _ in range(rank + 2)
+    ]
+
+
 def brute_row_lattice(rows, coeff_bound):
     """All integer combinations of the rows with coefficients in a box."""
     pts = set()

@@ -16,8 +16,8 @@ from hslbound.cohomology import (
     zero_class,
 )
 from hslbound.cones import classify, neg_region, sign_vector
-from hslbound.errors import DimensionMismatchError
-from hslbound.intlinalg import dot, vec_add, vec_scale
+from hslbound.errors import BudgetExhaustedError, DimensionMismatchError
+from hslbound.intlinalg import dot, vec_add, vec_scale, vec_sub
 from hslbound.semigroups import (
     all_facet_data,
     build,
@@ -31,6 +31,7 @@ from oracles import (
     brute_min_power_in_numerical,
     brute_zero_class,
     random_raw_generators,
+    random_signed_generators,
     reference_outside_orders,
 )
 
@@ -490,10 +491,11 @@ def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap)
     ],
 )
 def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
-    # every outside degree gets the reference chain's order, and the sweep
-    # hands zero_class and frobenius_orbit the same degrees in the same
-    # order as a degree-by-degree walk: frobenius_orbit on each boundary
-    # degree and the reference chain on each outside degree
+    # the sweep hands frobenius_orbit the same degrees in the same order as
+    # a degree-by-degree walk; each outside degree's zero_class calls are a
+    # prefix of the reference chain, any reference call left out is zero
+    # (the level the order table vouched for), and every outside order is
+    # the reference chain's
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
     orders, chains = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
@@ -504,30 +506,143 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
         signs = sign_vector(S.cone, v)
         got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
         assert got == order, v
-    log = []
+    events = []  # (caller, degree, the degrees it handed to zero_class)
+    sweep_orders = {}
     real_zero_class, real_orbit = cohomology.zero_class, cohomology.frobenius_orbit
+    real_outside_order = cohomology._outside_order
 
     def zero_class_logged(S, cert, facets, v, cap, **kw):
-        log.append(("zero_class", tuple(v)))
+        events[-1][2].append(tuple(v))
         return real_zero_class(S, cert, facets, v, cap, **kw)
 
     def orbit_logged(S, cert, facets, v, *args):
-        log.append(("frobenius_orbit", tuple(v)))
+        events.append(("frobenius_orbit", tuple(v), []))
         return real_orbit(S, cert, facets, v, *args)
+
+    def outside_order_logged(S, cert, facets, v, *args):
+        events.append(("outside", v, []))
+        sweep_orders[v] = real_outside_order(S, cert, facets, v, *args)
+        return sweep_orders[v]
 
     monkeypatch.setattr(cohomology, "zero_class", zero_class_logged)
     monkeypatch.setattr(cohomology, "frobenius_orbit", orbit_logged)
+    monkeypatch.setattr(cohomology, "_outside_order", outside_order_logged)
     cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
-    sweep_log = log.copy()
-    log.clear()
+    sweep_events = events.copy()
+    events.clear()
     for v in product(range(-window, window + 1), repeat=S.dim):
-        top = max(sign_vector(S.cone, v))
-        if top == 0:
+        if max(sign_vector(S.cone, v)) == 0:
             cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap)
-        elif top > 0:
-            log.extend(("zero_class", d) for d in chains[v])
-    assert ("frobenius_orbit", S.zero) in log
-    assert sweep_log == log
+    assert ("frobenius_orbit", S.zero) in [e[:2] for e in events]
+    assert [e for e in sweep_events if e[0] == "frobenius_orbit"] == events
+    outside = [(v, calls) for caller, v, calls in sweep_events if caller == "outside"]
+    assert [v for v, _ in outside] == [v for v, chain in chains.items() if chain]
+    for v, calls in outside:
+        chain = chains[v]
+        assert calls == chain[: len(calls)] and len(chain) - len(calls) <= 1, v
+        for d in chain[len(calls):]:
+            assert real_zero_class(S, cert, facets, d, cap).is_zero, (v, d)
+        assert sweep_orders[v] == orders[v], v
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [("d3", 2), ("D4", 1), ("W_7", 4), ("index2", 4), ("wedge", 4)]
+    + [(f"signed-{seed}", (4, 2, 1)[seed % 3]) for seed in range(10)],
+)
+def test_outside_levels_monotone_along_generators(request, name, window):
+    # the lemma behind the sweep's order table: for v and v - g outside
+    # -sigma, g a generator, a level of v - g that is zero at a cap is
+    # zero for v at that cap, whichever route zero_class took (membership,
+    # the constructive witness or the capped search)
+    if name.startswith("signed-"):
+        seed = int(name.split("-")[1])
+        rank = 2 + seed % 3
+        S = build(random_signed_generators(random.Random(seed), rank, 1 if rank == 4 else 2))
+    else:
+        S = sweep_input(request, name)
+    cert, facets = pipeline(S)
+    searched = 0
+    for cap in (2, 10 * cert.m_q):
+        verdicts = {}
+
+        def level(d):
+            if d not in verdicts:
+                verdicts[d] = zero_class(S, cert, facets, d, cap)
+            return verdicts[d]
+
+        for v in product(range(-window, window + 1), repeat=S.dim):
+            if max(sign_vector(S.cone, v)) <= 0:
+                continue
+            for g in S.generators:
+                u = vec_sub(v, g)
+                if max(sign_vector(S.cone, u)) <= 0:
+                    continue
+                for e in range(4):
+                    below = level(vec_scale(u, 2**e))
+                    if below.is_zero:
+                        assert level(vec_scale(v, 2**e)).is_zero, (v, g, e, cap)
+                        signs = sign_vector(S.cone, vec_scale(u, 2**e))
+                        searched += any(below.witness) and not any(
+                            map(ge, signs, cert.facet_values)
+                        )
+    # the capped search's witnesses are among those carried along g
+    assert searched or cert.m_q == 0
+
+
+def test_boundary_orders_are_not_monotone():
+    # a boundary degree's order is exact and uncapped, and the capped
+    # outside order one generator further can exceed it: these pairs are
+    # why the sweep's order table holds outside orders only
+    def rising_pairs(S, p, window):
+        cert, facets = pipeline(S)
+        bound = theoretical_bound(cert, n_q(S, facets), p)
+        e_max, cap = (10 if bound is None else bound + 2), 10 * cert.m_q
+        orders, _ = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
+        pairs = []
+        for u in product(range(-window, window + 1), repeat=S.dim):
+            if neg_region(sign_vector(S.cone, u)).kind != "neg_boundary":
+                continue
+            orbit = frobenius_orbit(S, cert, facets, u, p, e_max, cap)
+            for g in S.generators:
+                v = vec_add(u, g)
+                if orbit.kind != "nilpotent" or v not in orders:
+                    continue
+                if orders[v] is None or orders[v] > orbit.order:
+                    pairs.append((u, v, orbit.order, orders[v]))
+        return pairs
+
+    d3 = build(((3, 0, 1), (0, 3, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (0, 0, 1)))
+    pairs = rising_pairs(d3, 5, 6)
+    assert len(pairs) == 26
+    assert {(b, o) for _, _, b, o in pairs} == {(0, 1)}
+    assert ((-6, 2, -6), (-2, 1, -5), 0, 1) in pairs
+    index2 = build(((2, 0), (1, 1), (1, 2)))
+    assert rising_pairs(index2, 2, 12) == [((-12, 0), (-11, 1), 0, 1)]
+
+
+def test_random_sweeps_match_orbit_tally():
+    # seeded rank-2/3 semigroups, some with generators that are not
+    # lexicographically positive (their v - g is visited after v, so the
+    # order table has no entry for it); p is the next prime above N_Q
+    exhausted = 0
+    for seed in range(12):
+        rank = 2 + seed % 2
+        S = build(random_signed_generators(random.Random(seed), rank, 2))
+        try:
+            cert = find_gamma(S, budget=1000)
+        except BudgetExhaustedError:
+            exhausted += 1
+            continue
+        facets = all_facet_data(S)
+        nq = n_q(S, facets)
+        p = next(q for q in range(nq + 1, 2 * nq + 3) if intlinalg.is_prime(q))
+        bound = theoretical_bound(cert, nq, p)
+        args = (S, cert, facets, p, (6, 3)[rank - 2], bound + 2, 10 * cert.m_q)
+        fast = empirical_hsl(*args)
+        assert fast.as_dict() == orbit_tally(*args).as_dict(), seed
+        assert fast.violations == () and fast.class_counts["unknown"] == 0, seed
+    assert exhausted == 1
 
 
 # the window-sweep benchmark's sweeps: (input, p, window), verify defaults
@@ -536,9 +651,9 @@ SWEEP_WORK_INPUTS = (("wedge", 2, 40), ("index2", 2, 30), ("d3", 5, 8), ("D4", 5
 
 def test_sweep_work_pinned(request, monkeypatch):
     # the work of the five benchmark sweeps, counted: a fallback to a
-    # degree-by-degree walk or a facet Hermite form recomputed per solve
-    # moves these counts.  A pin changes only on purpose, stated with the
-    # change.
+    # degree-by-degree walk, an order table that stops bounding outside
+    # chains or a facet Hermite form recomputed per solve moves these
+    # counts.  A pin changes only on purpose, stated with the change.
     cases = []
     for name, p, window in SWEEP_WORK_INPUTS:
         S = sweep_input(request, name)
@@ -570,8 +685,9 @@ def test_sweep_work_pinned(request, monkeypatch):
     # at most one Hermite form per facet lattice, kept on its FacetData
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
-    assert calls == {"zero_class": 6971, "frobenius_orbit": 340, "_outside_order": 6418}
-    assert verdicts == {"zero": 6528, "nonzero": 279, "unknown": 164}
+    assert calls == {"zero_class": 926, "frobenius_orbit": 340, "_outside_order": 6418}
+    # without the order table: 6,971 zero_class calls, 6,528 of them zero
+    assert verdicts == {"zero": 483, "nonzero": 279, "unknown": 164}
 
 
 def test_row_runs_against_brute_force():

@@ -1,8 +1,10 @@
 """Checks on the library source itself."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,18 +25,19 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def load_tracing():
-    path = ROOT / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded from its file without importing perfbench."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_perfbench_traced_names_exist():
     # the benchmark's tracer wraps library functions by module and name; a
     # renamed function would silently read 0 calls instead of failing
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     assert tracing.STAGES and tracing.HOT
     missing = [
         f"hslbound.{mod}.{name}"
@@ -49,7 +52,7 @@ def test_perfbench_traced_names_exist():
 def test_perfbench_tracer_reads_memo_size():
     # Tracer.memo_size reads len(S._memo) of every semigroup it saw built;
     # a change of the memo's type must fail here, not in a traced run
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     semigroups = importlib.import_module("hslbound.semigroups")
     tracer = tracing.Tracer()
     tracer.install()
@@ -60,6 +63,30 @@ def test_perfbench_tracer_reads_memo_size():
         tracer.uninstall()
     assert tracer.semigroups == [S]
     assert tracer.memo_size() == 1
+
+
+def test_perfbench_sweep_digests_hold():
+    # the window-sweep workload pins the sha256 of each sweep's report; a
+    # sweep change that alters a report must fail here, not only in a
+    # benchmark run.  Inputs and defaults as in the workload: e_max =
+    # bound + 2 (10 when the bound is withheld), cap = 10 * m_q
+    workloads = load_perfbench("workloads")
+    cohomology = importlib.import_module("hslbound.cohomology")
+    semigroups = importlib.import_module("hslbound.semigroups")
+    digests = {}
+    for name, gens, p, window in workloads.SWEEPS:
+        if gens is None:
+            doc = json.loads((ROOT / "demos" / "inputs" / f"{name}.json").read_text())
+            gens = doc["generators"]
+        S = semigroups.build(gens)
+        cert = semigroups.find_gamma(S)
+        facets = semigroups.all_facet_data(S)
+        bound = cohomology.theoretical_bound(cert, semigroups.n_q(S, facets), p)
+        e_max = 10 if bound is None else bound + 2
+        report = cohomology.empirical_hsl(S, cert, facets, p, window, e_max, 10 * cert.m_q)
+        text = json.dumps(report.as_dict(), sort_keys=True)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == workloads.SWEEP_SHA256
 
 
 def test_no_unused_imports():
