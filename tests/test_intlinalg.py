@@ -12,12 +12,10 @@ from hslbound.intlinalg import (
     identity_matrix,
     is_prime,
     largest_prime_factor,
-    mat_mul,
     matrix_rank,
     primitive,
     smith_normal_form,
     solve_in_hermite_basis,
-    solve_in_row_lattice,
     solve_rational,
     transpose,
     vec_mat,
@@ -28,6 +26,7 @@ from oracles import (
     brute_kernel_vectors,
     brute_row_lattice,
     kernel_basis,
+    mat_mul,
     random_int_matrix,
 )
 
@@ -98,11 +97,18 @@ def test_snf_examples():
     assert smith_normal_form(((2, 0), (0, 3))).invariant_factors == (1, 6)
     assert smith_normal_form(identity_matrix(3)).invariant_factors == (1, 1, 1)
     assert smith_normal_form(((0,),)).invariant_factors == (0,)
+    # the Hermite-form identity of assert_snf_valid tells D = diag(1, 6)
+    # from diag(2, 3), which has the same determinant
+    A = ((2, 0), (0, 3))
+    AV = mat_mul(A, smith_normal_form(A).v)
+    assert hermite_normal_form(AV)[0] == hermite_normal_form(((1, 0), (0, 6)))[0]
+    assert hermite_normal_form(AV)[0] != hermite_normal_form(A)[0]
 
 
 def assert_snf_valid(A, snf: SmithDecomposition):
-    assert mat_mul(mat_mul(snf.u, A), snf.v) == snf.d
-    assert abs(det(snf.u)) == 1
+    # some unimodular U has U @ A @ V == D iff A @ V and D have one row
+    # lattice, i.e. one Hermite form
+    assert hermite_normal_form(mat_mul(A, snf.v))[0] == hermite_normal_form(snf.d)[0]
     assert abs(det(snf.v)) == 1
     k = min(len(A), len(A[0]))
     diag = [snf.d[i][i] for i in range(k)]
@@ -232,8 +238,9 @@ def test_kernel_spans_brute_solutions():
         for b in basis:
             assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
         assert len(basis) == n - matrix_rank(A)
+        # the basis is Hermite-canonical, so back-substitution solves on it
         for x in brute_kernel_vectors(A, 2):
-            assert solve_in_row_lattice(basis, x) is not None
+            assert solve_in_hermite_basis(basis, x) is not None
 
 
 def test_hyperplane_basis_matches_kernel_basis():
@@ -268,11 +275,14 @@ def test_hyperplane_basis_rejects_zero_and_imprimitive_forms():
             hyperplane_basis(u)
 
 
-def test_solve_in_row_lattice():
-    assert solve_in_row_lattice(((5, 1), (1, 4)), (6, 5)) == (1, 1)
-    assert solve_in_row_lattice(((2, 0),), (3, 0)) is None
-    assert solve_in_row_lattice(((5, 1),), (15, 3)) == (3,)
-    # on a Hermite basis the back-substitution alone gives the same answer
+def test_solve_in_hermite_basis():
+    # ((1, 4), (0, 19)) is the Hermite form of ((5, 1), (1, 4))
+    assert solve_in_hermite_basis(((1, 4), (0, 19)), (6, 5)) == (6, -1)
+    assert solve_in_hermite_basis(((1, 4), (0, 19)), (6, 6)) is None
+    assert solve_in_hermite_basis(((2, 0),), (3, 0)) is None
+    assert solve_in_hermite_basis(((5, 1),), (15, 3)) == (3,)
+    # a target is in the row lattice iff appending it leaves the Hermite
+    # form's nonzero rows unchanged
     rng = random.Random(4)
     outside = 0
     for _ in range(200):
@@ -282,22 +292,14 @@ def test_solve_in_row_lattice():
         if not basis:
             continue
         y = tuple(rng.randint(-5, 5) for _ in basis)
-        inside = vec_mat(y, basis)
-        assert solve_in_hermite_basis(basis, inside) == y
-        assert solve_in_row_lattice(basis, inside) == y
+        assert solve_in_hermite_basis(basis, vec_mat(y, basis)) == y
         t = tuple(rng.randint(-9, 9) for _ in basis[0])
-        expected = solve_in_row_lattice(basis, t)
-        assert solve_in_hermite_basis(basis, t) == expected
-        outside += expected is None
+        got = solve_in_hermite_basis(basis, t)
+        grown, _ = hermite_normal_form(basis + (t,))
+        assert (got is not None) == (tuple(r for r in grown if any(r)) == basis), (basis, t)
+        assert got is None or vec_mat(got, basis) == t
+        outside += got is None
     assert outside > 20
-
-
-def test_solve_in_row_lattice_dependent_rows():
-    rows = ((2, 0), (4, 0), (0, 3))
-    c = solve_in_row_lattice(rows, (6, 3))
-    assert c is not None
-    assert vec_mat(c, rows) == (6, 3)
-    assert solve_in_row_lattice(rows, (1, 0)) is None
 
 
 def test_solve_rational():

@@ -7,7 +7,14 @@ import pytest
 
 from hslbound.errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from hslbound import semigroups
-from hslbound.intlinalg import dot, solve_in_row_lattice, vec_add, vec_scale
+from hslbound.intlinalg import (
+    dot,
+    hermite_normal_form,
+    solve_in_hermite_basis,
+    vec_add,
+    vec_mat,
+    vec_scale,
+)
 from hslbound.semigroups import (
     all_facet_data,
     build,
@@ -17,11 +24,10 @@ from hslbound.semigroups import (
     find_gamma,
     member,
     n_q,
-    sat_member,
     saturation_residues,
     verify_gamma,
 )
-from oracles import random_raw_generators, semigroup_elements_upto
+from oracles import random_raw_generators, sat_member, semigroup_elements_upto
 
 
 def test_build_wedge(wedge):
@@ -357,9 +363,11 @@ def test_facet_witness_combo(wedge):
 
 
 def test_facet_witness_combo_matches_row_lattice(monkeypatch, d3, index2):
-    # the kept Hermite form gives the coefficients solve_in_row_lattice
-    # gives, on targets in the facet lattice, in the hyperplane lattice
-    # and off the hyperplane; each facet builds its Hermite form once
+    # the kept Hermite form gives the coefficients of a fresh solve over
+    # the facet generators' row lattice, on targets in the facet lattice,
+    # in the hyperplane lattice and off the hyperplane; each facet builds
+    # its Hermite form once.  Some facets have more generators than the
+    # hyperplane's rank, so dependent rows are solved too
     rng = random.Random(5150)
     inputs = [d3, index2, build(D4_GENS)]
     inputs += [build(random_raw_generators(rng, rank)) for rank in (2, 3, 4) for _ in range(4)]
@@ -372,8 +380,11 @@ def test_facet_witness_combo_matches_row_lattice(monkeypatch, d3, index2):
 
     monkeypatch.setattr(semigroups, "hermite_normal_form", counting)
     solved = Counter()
+    dependent = 0
     for S in inputs:
         for fd in all_facet_data(S):
+            dependent += len(fd.facet_gens) > S.dim - 1
+            H, U = hermite_normal_form(fd.facet_gens)
             built.clear()
             for _ in range(15):
                 inside = S.zero
@@ -387,12 +398,15 @@ def test_facet_witness_combo_matches_row_lattice(monkeypatch, d3, index2):
                     ("off", vec_add(inside, off)),
                 )
                 for kind, target in targets:
-                    expected = solve_in_row_lattice(fd.facet_gens, target)
+                    y = solve_in_hermite_basis(H, target)
+                    expected = None if y is None else vec_mat(y, U)
+                    assert expected is None or vec_mat(expected, fd.facet_gens) == target
                     assert facet_witness_combo(fd, target) == expected, (fd.index, target)
                     solved[kind, expected is not None] += 1
             assert built == [fd.facet_gens]
     assert not solved["lattice", False]
     assert solved["hyperplane", False] and solved["off", False]
+    assert dependent
 
 
 def test_nq_wedge_and_1d(wedge, ns35, ns479):

@@ -89,6 +89,33 @@ def test_perfbench_sweep_digests_hold():
     assert digests == workloads.SWEEP_SHA256
 
 
+def test_no_test_only_definitions():
+    # every top-level function or class of the library is read by the
+    # library, a demo or the benchmark, as a name, an attribute or an exact
+    # string (the benchmark's tracer wraps functions by name); one that only
+    # the tests call belongs in the test oracles.  __init__.py re-exports
+    # by name, so it is left out on both sides
+    users = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    users += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    named = set()
+    defined = {}
+    for path in users:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+        if path.parent == SRC:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+    unread = sorted(f"{where} {name}" for name, where in defined.items() if name not in named)
+    assert not unread, f"library definitions only the tests read: {unread}"
+
+
 def test_no_unused_imports():
     # __init__.py imports in order to re-export, so it is left out
     sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
