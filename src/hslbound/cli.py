@@ -17,13 +17,12 @@ import json
 import os
 import sys
 
-from .cohomology import empirical_hsl, hsl_exact_dim1, theoretical_bound
+from .cohomology import MAX_WINDOW_DEGREES, empirical_hsl, hsl_exact_dim1, theoretical_bound
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import MILLER_RABIN_LIMIT, is_prime
 from .semigroups import AffineSemigroup, all_facet_data, build, find_gamma, n_q
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
-MAX_WINDOW_DEGREES = 10**6  # verify refuses a window of more degrees, (2w+1)^rank
 
 
 class _Parser(argparse.ArgumentParser):

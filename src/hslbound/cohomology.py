@@ -18,26 +18,21 @@ translate, which always fires once p^e reaches m_q, and otherwise falls
 back to a capped witness search that reports Unknown rather than claim an
 uncertified nonvanishing.
 
-The window sweep (empirical_hsl) takes the degree box row by row.  Along
-a row the support-form values are affine in the last coordinate, so the
-interior of -sigma, the non-positive set and the degrees constructive at
-level 0 (some u_i(v) >= u_i(gamma)) are integer intervals whose ends take
-one floor or ceiling division per form.  Interior degrees (not nilpotent)
-and outside degrees constructive at level 0 (order 0) are counted without
-being visited.  Only boundary degrees (frobenius_orbit) and the other
-outside degrees are visited; for those the constructive level is read
-from per-facet thresholds ceil(u_i(gamma) / p^e), O(m * (e_max + 1))
-integers computed once per sweep, and only the levels below it call
-zero_class.
+The window sweep (empirical_hsl) takes the degree box row by row.  Its
+report holds counts, the largest order and the violations, so an outside
+order at most lim = min(largest order so far, bound, e_max) cannot change
+it.  Along a row the interior of -sigma, the non-positive set and the
+outside degrees constructive at a level <= lim are integer intervals;
+the interior and those outside degrees are counted, not visited.
 
 Outside -sigma the capped oracle is monotone along Q: if v - g is outside
 -sigma, g in Q, and level e of v - g is zero (by membership, the
 constructive witness or a capped-search witness w), then level e of v is
 zero by the same route, since every u_i only grows when g is added, so
-w's facet stays eligible and v + w = (v - g + w) + g stays in Q.  So the
-sweep keeps the orders of the outside degrees it visited, and a degree's
-order is at most the least order of its visited outside predecessors
-v - g, g a generator; only the levels below that bound call zero_class.
+w's facet stays eligible and v + w = (v - g + w) + g stays in Q.  So a
+visited outside degree's order is at most the least order (or stored
+bound) of its visited outside predecessors v - g, g a generator; only the
+levels below that bound call zero_class, and none when it is at most lim.
 Boundary orders come from the uncapped lattice test, which the capped
 oracle need not match one generator further, so they are never used as a
 bound.
@@ -151,7 +146,10 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+FACET_ELEMENT_CACHE = 64  # (facet, cap) entries _facet_elements keeps
+
+
+@lru_cache(maxsize=FACET_ELEMENT_CACHE)
 def _facet_elements(facet_gens, gen_forms, grading, cap):
     """Nonzero facet semigroup elements with grading value <= cap, by level.
 
@@ -332,6 +330,9 @@ def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
         if cand is not None:
             best = cand if best is None else min(best, cand)
     return best
+
+
+MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
 
 
 def _check_limits(p: int, **limits: int) -> None:
@@ -515,16 +516,17 @@ def _outside_order(
     """Least e <= e_max with [x^{p^e v}] zero, for v outside -sigma.
 
     The constructive level e_c is read off the thresholds.  known, when
-    given, is a level already known to be zero at this cap: the order of
-    some v - g, g in Q, that is itself outside -sigma.  Every route that
-    kills level e of v - g kills level e of v: the conductor and
-    membership tests because Q + g lies in Q, the constructive test
-    because u_i(g) >= 0, and a capped-search witness w on facet i because
-    u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible and v + w - g in Q
-    gives v + w in Q.  The order of a boundary v - g comes from the
-    uncapped lattice test and has no such relation to v.  Only the levels
-    below min(known, e_c) go to zero_class, in order, with the signs scaled
-    by p^e; the order is the first zero among them, or that minimum.
+    given, is a level known to be zero at this cap for some v - g, g in Q,
+    that is itself outside -sigma: its order, or an upper bound on it.
+    Every route that kills level e of v - g kills level e of v: the
+    conductor and membership tests because Q + g lies in Q, the
+    constructive test because u_i(g) >= 0, and a capped-search witness w
+    on facet i because u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible
+    and v + w - g in Q gives v + w in Q.  The order of a boundary v - g
+    comes from the uncapped lattice test and has no such relation to v.
+    Only the levels below min(known, e_c) go to zero_class, in order, with
+    the signs scaled by p^e; the order is the first zero among them, or
+    that minimum.
     """
     top = _constructive_level(signs, thresholds, e_max)
     if known is not None:
@@ -564,22 +566,22 @@ def _minus(outer: range, inner: range) -> tuple[range, range]:
     )
 
 
-def _row_runs(base, column, window: int, facet_values):
+def _row_runs(base, column, window: int, threshold):
     """Split the row of degrees with signs base + x * column, |x| <= window.
 
     Returns (interior, nonpositive, runs): the sizes of the interior of
     -sigma (every sign < 0) and of the non-positive set (every sign <= 0),
     and the runs the sweep visits, as (is_boundary, range) pairs in
     increasing x: the boundary (non-positive, not interior) and the
-    outside degrees that are not constructive at level 0 (every sign below
-    u_i(gamma)).  Each of the three sets is an intersection of half-lines,
-    so an interval; the rest of the row is outside and constructive at
-    level 0.
+    outside degrees with every sign below threshold (with u(gamma), the
+    degrees not constructive at level 0).  Each of the three sets is an
+    intersection of half-lines, so an interval; the rest of the row is
+    outside and has some sign at or above its threshold.
     """
     m = len(base)
     interior = _row_interval(base, column, (-1,) * m, window)
     nonpositive = _row_interval(base, column, (0,) * m, window)
-    below = _row_interval(base, column, tuple(f - 1 for f in facet_values), window)
+    below = _row_interval(base, column, tuple(f - 1 for f in threshold), window)
     left_out, right_out = _minus(below, nonpositive)
     left_b, right_b = _minus(nonpositive, interior)
     runs = ((False, left_out), (True, left_b), (True, right_b), (False, right_out))
@@ -598,54 +600,52 @@ def empirical_hsl(
     """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
 
     The report is the one per-degree frobenius_orbit calls would give,
-    but only orders are computed.  The box is taken one row (all but the
+    but orders are computed only where they can change it: an order at
+    most lim = min(empirical_max so far, bound, e_max) is nilpotent, no
+    violation and no new maximum.  The box is taken one row (all but the
     last coordinate fixed) at a time.  Along a row the support-form values
-    are affine in the last coordinate x: s(x) = s0 + x * L, where s0 is a
-    sum of multiples of the form columns (u_1(e_k), ..., u_m(e_k)) and L
-    is the last column.  So the interior of -sigma, the non-positive set
-    and the degrees below level-0 constructiveness are each an interval of
-    the row, found with one floor or ceiling division per form, and the
-    row splits into:
+    are affine in the last coordinate x: s(x) = s0 + x * L, with s0 a sum
+    of multiples of the form columns and L the last column.  So the
+    interior of -sigma, the non-positive set and the degrees whose
+    constructive level e_c (the least e with some p^e s_i >= u_i(gamma),
+    read from the thresholds ceil(u_i(gamma) / p^e)) exceeds lim are
+    intervals, with one floor or ceiling division per form.  The row
+    splits into:
 
-    * the interior (every s_i < 0): not nilpotent, since interior classes
-      never vanish; counted, not visited;
-    * outside -sigma and constructive at level 0 (some s_i >= u_i(gamma)):
-      order 0; counted, not visited;
+    * the interior (every s_i < 0): not nilpotent; counted;
+    * outside -sigma with e_c <= lim: counted;
     * the boundary (every s_i <= 0, some = 0), visited: frobenius_orbit,
       which cross-checks the exact lattice order against its levels;
-    * the other outside degrees, visited: the constructive level e_c, the
-      least e at which some facet has p^e u_i(v) >= u_i(gamma), is read
-      from the per-facet thresholds ceil(u_i(gamma) / p^e), computed once
-      per sweep (O(m * (e_max + 1)) integers, independent of m_q).  The
-      order is also at most k, the least order already found for a v - g,
-      g a generator, that is an outside degree visited earlier (see
-      below).  Only the levels below min(k, e_c) go to zero_class,
-      stopping at the first zero; otherwise the order is that minimum, or
-      unknown when it exceeds e_max.  No witness is kept.  As in
-      frobenius_orbit, a nonzero level with p^e >= m_q, e <= e_max, means
-      the constructive witness failed, and raises AssertionError.
+    * the other outside degrees, visited.  The order is at most k, the
+      least order table entry at a v - g, g a generator, visited earlier.
+      If k <= lim the degree is counted, with k stored as its entry; so
+      is one with e_c <= lim after lim rose in this row.  Otherwise the
+      levels below min(k, e_c) go to zero_class, stopping at the first
+      zero; the order is that minimum when none is zero, unknown past
+      e_max.  As in frobenius_orbit, a nonzero level with p^e >= m_q,
+      e <= e_max, raises AssertionError.
 
-    The bound k rests on a lemma: for v - g outside -sigma and g in Q, a
-    level of v - g that is zero at this cap is zero for v at this cap, by
-    the same route and witness (see _outside_order).  So the order of v
-    is at most that of v - g; the levels below k decide it exactly, and
-    reports are the same as without the bound.  Boundary orders are exact
-    and uncapped, and the lemma fails for them: on D3 at p = 5 the
-    boundary degree (-6,2,-6) has order 0 while (-2,1,-5), one generator
-    further, has capped order 1.  So only outside orders are kept, in an
-    order table of one byte per box degree, (2 * window + 1)^n bytes,
-    freed when the sweep returns; orders of 255 or more and unknown ones
-    are not kept.  A v - g visited after v (g not lexicographically
-    positive) or outside the box gives no bound.
+    Every table entry is a zero level of its degree at this cap (an order
+    or a stored k), so by relation (M) (see _outside_order) the levels
+    below k decide the order exactly.  (M) fails for boundary orders,
+    which are exact and uncapped: on D3 at p = 5 the boundary degree
+    (-6,2,-6) has order 0 and (-2,1,-5), one generator further, capped
+    order 1; they are never stored.  The table has one byte per box
+    degree; UNSET marks no entry.  e_c only falls along Q and lim never
+    falls, so the successors of a degree counted by e_c are counted too.
 
-    The work is O(rows * (m + number of generators)) plus the visited
-    degrees, which are taken in lexicographic order, so frobenius_orbit
-    sees the same degrees in the same order as a degree-by-degree walk,
-    and zero_class sees the part of that walk's calls the bounds leave.
-    Reports are deterministic.  Raises ValueError for p < 2 or a negative
-    window, e_max or cap.
+    Visited degrees are taken in lexicographic order, so frobenius_orbit
+    sees those of a degree-by-degree walk in its order.  Raises ValueError
+    for p < 2, a negative window, e_max or cap, or a box of more than
+    MAX_WINDOW_DEGREES degrees.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
+    width = 2 * window + 1
+    if width**S.dim > MAX_WINDOW_DEGREES:
+        raise ValueError(
+            f"window {window} at rank {S.dim} spans {width**S.dim} degrees,"
+            f" more than the limit of {MAX_WINDOW_DEGREES}"
+        )
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
     e_witness = _least_exponent(cert.m_q, p)
@@ -658,9 +658,15 @@ def empirical_hsl(
     region_counts = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
     class_counts = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
     emp_max = 0
+    # an outside order at most lim = min(emp_max, top) cannot change the
+    # report; top < UNSET, so an UNSET byte never passes known <= lim
+    top = min(len(thresholds) - 1, UNSET - 1)  # len - 1 <= e_max
+    if bound is not None:
+        top = min(top, bound)
+    lim = 0
+    skip = thresholds[0]  # e_c <= lim iff some s_i >= skip[i]
     violations = []
     flags = []
-    width = 2 * window + 1
     coords = range(-window, window + 1)
     columns = tuple(zip(*S.support_forms))  # column k: the forms at e_k
     multiples = [{c: vec_scale(col, c) for c in coords} for col in columns]
@@ -679,13 +685,13 @@ def empirical_hsl(
         base = (0,) * len(last)
         for c, mult in zip(prefix, multiples):
             base = tuple(map(add, base, mult[c]))
-        interior, nonpositive, runs = _row_runs(base, last, window, cert.facet_values)
+        interior, nonpositive, runs = _row_runs(base, last, window, skip)
         region_counts["neg_interior"] += interior
         region_counts["neg_boundary"] += nonpositive - interior
         region_counts["outside_neg"] += width - nonpositive
         class_counts["not_nilpotent"] += interior
         outside_visits = sum(len(run) for boundary, run in runs if not boundary)
-        # outside and constructive at level 0: order 0
+        # outside with e_c <= lim: nilpotent of order at most lim
         class_counts["nilpotent"] += width - nonpositive - outside_visits
         # the generators g with prefix - g[:-1] in the box, each with its
         # shift and the x at which x - g[-1] is in the box too
@@ -697,6 +703,16 @@ def empirical_hsl(
         start = row * width + window  # box position of (prefix, 0)
         for boundary, run in runs:
             for x in run:
+                if not boundary:
+                    pos = start + x
+                    known = min(
+                        (orders[pos - shift] for shift, span in preds if x in span),
+                        default=UNSET,
+                    )
+                    if known <= lim:  # order <= known, the successors' too
+                        orders[pos] = known
+                        class_counts["nilpotent"] += 1
+                        continue
                 v = prefix + (x,)
                 signs = tuple(map(add, base, last_multiples[x]))
                 if boundary:
@@ -704,12 +720,10 @@ def empirical_hsl(
                     kind, order = orbit.kind, orbit.order
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)
+                elif any(map(ge, signs, skip)):  # e_c <= lim after lim rose in this row
+                    class_counts["nilpotent"] += 1
+                    continue
                 else:
-                    pos = start + x
-                    known = min(
-                        (orders[pos - shift] for shift, span in preds if x in span),
-                        default=UNSET,
-                    )
                     order = _outside_order(
                         S, cert, facets, v, signs, p, e_max, cap, thresholds,
                         None if known == UNSET else known,
@@ -724,7 +738,10 @@ def empirical_hsl(
                     kind = "unknown" if order is None else "nilpotent"
                 class_counts[kind] += 1
                 if kind == "nilpotent":
-                    emp_max = max(emp_max, order)
+                    if order > emp_max:
+                        emp_max = order
+                        lim = min(emp_max, top)
+                        skip = thresholds[lim]
                     if bound is not None and order > bound:
                         violations.append((v, order))
     return HslReport(

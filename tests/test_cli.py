@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from hslbound import cohomology
 from hslbound.cli import main
+from hslbound.cohomology import frobenius_orbit
 from hslbound.intlinalg import MILLER_RABIN_LIMIT
+from hslbound.semigroups import all_facet_data, build, find_gamma
 
 WEDGE = {"generators": [[5, 1], [4, 1], [1, 3], [1, 4]]}
 NS35 = {"generators": [[3], [5]]}
@@ -267,6 +270,22 @@ def test_verify_refuses_oversized_window(tmp_path, capsys):
     path = write_input(tmp_path, WEDGE)
     code, _, err = run(capsys, "verify", "--input", path, "--prime", "2", "--window", "500")
     assert code == 1 and "limit" in err
+
+
+def test_verify_violations_exit_4(tmp_path, capsys, monkeypatch):
+    # no input violates the theorem, so the sweep's bound is forced to 0
+    # for p > N_Q: every degree of positive order is then listed
+    monkeypatch.setattr(cohomology, "theoretical_bound", lambda cert, nq, p: None if p <= nq else 0)
+    path = write_input(tmp_path, INDEX2)
+    code, out, _ = run(capsys, "verify", "--input", path, "--prime", "3", "--window", "6")
+    doc = json.loads(out)
+    assert code == 4 and doc["theoretical_bound"] == 0 and doc["empirical_max"] > 0
+    assert doc["violations"] and all(item["order"] > 0 for item in doc["violations"])
+    S = build(INDEX2["generators"])
+    cert, facets = find_gamma(S), all_facet_data(S)
+    for item in doc["violations"]:
+        orbit = frobenius_orbit(S, cert, facets, item["degree"], 3, doc["e_max"], doc["cap"])
+        assert orbit.order == item["order"], item
 
 
 def test_dim1(tmp_path, capsys):

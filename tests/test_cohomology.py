@@ -294,6 +294,22 @@ def test_empirical_rejects_negative_window(wedge, wedge_ctx):
         empirical_hsl(wedge, cert, facets, 2, -2, 3, CAP)
 
 
+@pytest.mark.parametrize("name, window", [("ns35", 500000), ("wedge", 500), ("d3", 50)])
+def test_empirical_refuses_oversized_box(request, monkeypatch, name, window):
+    # the least window whose box exceeds the limit, refused before any
+    # sweep work (n_q is its first step) and before the order table
+    S = request.getfixturevalue(name)
+    assert (2 * window - 1) ** S.dim <= cohomology.MAX_WINDOW_DEGREES < (2 * window + 1) ** S.dim
+    cert, facets = pipeline(S)
+
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cohomology, "n_q", no_work)
+    with pytest.raises(ValueError, match=f"{(2 * window + 1) ** S.dim} degrees"):
+        empirical_hsl(S, cert, facets, 2, window, 3, 20)
+
+
 def test_orbit_positive_order_off_boundary(index2, index2_ctx):
     # (0,1): the only eligible witness sweep walks the even-x facet, so
     # nothing kills the class at e=0, but p*(0,1) dies for every p
@@ -414,16 +430,19 @@ def test_dim1_against_brute_and_window(ns35, ns479):
 
 def orbit_tally(S, cert, facets, p, window, e_max, cap):
     """The window report built degree by degree from frobenius_orbit and
-    classify: one full orbit per degree, no shortcut."""
+    classify: one full orbit per degree, no shortcut.  Returns the report
+    and the orbit of each degree outside -sigma."""
     nq = n_q(S, facets)
-    bound = theoretical_bound(cert, nq, p)
+    bound = cohomology.theoretical_bound(cert, nq, p)
     regions = {"neg_interior": 0, "neg_boundary": 0, "outside_neg": 0}
     classes = {"nilpotent": 0, "not_nilpotent": 0, "unknown": 0}
-    emp_max, violations, flags = 0, [], []
+    emp_max, violations, flags, outside = 0, [], [], {}
     for v in product(range(-window, window + 1), repeat=S.dim):
         _, neg = classify(S.cone, v)
         regions[neg.kind] += 1
         orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+        if neg.kind == "outside_neg":
+            outside[v] = orbit
         classes[orbit.kind] += 1
         if orbit.kind == "nilpotent":
             emp_max = max(emp_max, orbit.order)
@@ -437,10 +456,42 @@ def orbit_tally(S, cert, facets, p, window, e_max, cap):
                 if d > 1
             ):
                 flags.append(v)
-    return HslReport(
+    report = HslReport(
         p, window, e_max, cap, nq, bound, emp_max, regions, classes,
         tuple(violations), tuple(flags),
     )
+    return report, outside
+
+
+def sweep_against_orbit_tally(monkeypatch, *args):
+    """empirical_hsl(*args) against orbit_tally(*args).
+
+    The reports must be equal, and every outside degree the sweep counts
+    without calling _outside_order must be nilpotent of order at most
+    min(empirical_max, bound): such a degree cannot change the report,
+    which is why the digests of the reports do not check these skips.
+    Returns the report and the number of skipped degrees with order > 0.
+    """
+    evaluated = set()
+    real = cohomology._outside_order
+
+    def logged(S, cert, facets, v, *rest):
+        evaluated.add(v)
+        return real(S, cert, facets, v, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "_outside_order", logged)
+        fast = empirical_hsl(*args)
+    reference, outside = orbit_tally(*args)
+    assert fast.as_dict() == reference.as_dict()
+    bound = fast.theoretical_bound
+    lim = fast.empirical_max if bound is None else min(fast.empirical_max, bound)
+    skipped = 0
+    for v, orbit in outside.items():
+        if v not in evaluated:
+            assert orbit.kind == "nilpotent" and orbit.order <= lim, (v, orbit.order, lim)
+            skipped += orbit.order > 0
+    return fast, skipped
 
 
 def sweep_input(request, name):
@@ -482,11 +533,30 @@ def sweep_input(request, name):
         ("W_9", 2, 0, 3, 40),
     ],
 )
-def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap):
+def test_empirical_hsl_matches_orbit_tally(request, monkeypatch, name, p, window, e_max, cap):
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
-    fast = empirical_hsl(S, cert, facets, p, window, e_max, cap)
-    assert fast.as_dict() == orbit_tally(S, cert, facets, p, window, e_max, cap).as_dict()
+    sweep_against_orbit_tally(monkeypatch, S, cert, facets, p, window, e_max, cap)
+
+
+@pytest.mark.parametrize(
+    "name, p, window, e_max, cap",
+    [
+        ("d3", 5, 4, 3, 20),
+        ("D4", 5, 2, 3, 40),
+        ("W_9", 2, 6, 11, 20),  # small cap: orders up to 9
+        ("random-3-7034", 3, 2, 6, 320),
+    ],
+)
+def test_forced_violations_match_orbit_tally(request, monkeypatch, name, p, window, e_max, cap):
+    # no input violates the theorem, so the bound is forced to 0 for
+    # p > N_Q: every positive order is then a violation
+    S = sweep_input(request, name)
+    cert, facets = pipeline(S)
+    assert p > n_q(S, facets)
+    monkeypatch.setattr(cohomology, "theoretical_bound", lambda cert, nq, p: None if p <= nq else 0)
+    fast, _ = sweep_against_orbit_tally(monkeypatch, S, cert, facets, p, window, e_max, cap)
+    assert fast.theoretical_bound == 0 and fast.violations
 
 
 @pytest.mark.parametrize(
@@ -508,10 +578,13 @@ def test_empirical_hsl_matches_orbit_tally(request, name, p, window, e_max, cap)
 )
 def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
     # the sweep hands frobenius_orbit the same degrees in the same order as
-    # a degree-by-degree walk; each outside degree's zero_class calls are a
-    # prefix of the reference chain, any reference call left out is zero
-    # (the level the order table vouched for), and every outside order is
-    # the reference chain's
+    # a degree-by-degree walk; the outside degrees it evaluates come in
+    # reference order (it skips those whose order cannot change the
+    # report), each one's zero_class calls are a prefix of the reference
+    # chain, any reference call left out is zero (the level the order
+    # table vouched for), every evaluated order is the reference's, and no
+    # degree is evaluated whose constructive level is at most lim, the
+    # least of the running maximum, the bound and e_max
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
     orders, chains = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
@@ -523,7 +596,7 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
         got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
         assert got == order, v
     events = []  # (caller, degree, the degrees it handed to zero_class)
-    sweep_orders = {}
+    sweep_orders = {}  # by degree: the order, None unless nilpotent
     real_zero_class, real_orbit = cohomology.zero_class, cohomology.frobenius_orbit
     real_outside_order = cohomology._outside_order
 
@@ -533,7 +606,9 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
 
     def orbit_logged(S, cert, facets, v, *args):
         events.append(("frobenius_orbit", tuple(v), []))
-        return real_orbit(S, cert, facets, v, *args)
+        orbit = real_orbit(S, cert, facets, v, *args)
+        sweep_orders[tuple(v)] = orbit.order
+        return orbit
 
     def outside_order_logged(S, cert, facets, v, *args):
         events.append(("outside", v, []))
@@ -552,13 +627,22 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
     assert ("frobenius_orbit", S.zero) in [e[:2] for e in events]
     assert [e for e in sweep_events if e[0] == "frobenius_orbit"] == events
     outside = [(v, calls) for caller, v, calls in sweep_events if caller == "outside"]
-    assert [v for v, _ in outside] == [v for v, chain in chains.items() if chain]
+    reference = iter(v for v, chain in chains.items() if chain)
+    assert all(v in reference for v, _ in outside)  # a subsequence, in order
     for v, calls in outside:
         chain = chains[v]
         assert calls == chain[: len(calls)] and len(chain) - len(calls) <= 1, v
         for d in chain[len(calls):]:
             assert real_zero_class(S, cert, facets, d, cap).is_zero, (v, d)
         assert sweep_orders[v] == orders[v], v
+    bound = theoretical_bound(cert, n_q(S, facets), p)
+    running_max = 0
+    for caller, v, _ in sweep_events:
+        if caller == "outside":
+            lim = min(running_max, e_max, e_max if bound is None else bound)
+            level = cohomology._constructive_level(sign_vector(S.cone, v), thresholds, e_max)
+            assert level > lim, (v, level, lim)
+        running_max = max(running_max, sweep_orders[v] or 0)
 
 
 @pytest.mark.parametrize(
@@ -693,11 +777,11 @@ def test_frobenius_orbit_scaling_relation(request, name, p, window):
     assert kinds["nilpotent"] and kinds["not_nilpotent"], kinds
 
 
-def test_random_sweeps_match_orbit_tally():
+def test_random_sweeps_match_orbit_tally(monkeypatch):
     # seeded rank-2/3 semigroups, some with generators that are not
     # lexicographically positive (their v - g is visited after v, so the
     # order table has no entry for it); p is the next prime above N_Q
-    exhausted = 0
+    exhausted = skipped = 0
     for seed in range(12):
         rank = 2 + seed % 2
         S = build(random_signed_generators(random.Random(seed), rank, 2))
@@ -711,10 +795,11 @@ def test_random_sweeps_match_orbit_tally():
         p = next(q for q in range(nq + 1, 2 * nq + 3) if intlinalg.is_prime(q))
         bound = theoretical_bound(cert, nq, p)
         args = (S, cert, facets, p, (6, 3)[rank - 2], bound + 2, 10 * cert.m_q)
-        fast = empirical_hsl(*args)
-        assert fast.as_dict() == orbit_tally(*args).as_dict(), seed
+        fast, n = sweep_against_orbit_tally(monkeypatch, *args)
         assert fast.violations == () and fast.class_counts["unknown"] == 0, seed
+        skipped += n
     assert exhausted == 1
+    assert skipped  # some skipped outside degree has a positive order
 
 
 # the window-sweep benchmark's sweeps: (input, p, window), verify defaults
@@ -724,8 +809,10 @@ SWEEP_WORK_INPUTS = (("wedge", 2, 40), ("index2", 2, 30), ("d3", 5, 8), ("D4", 5
 def test_sweep_work_pinned(request, monkeypatch):
     # the work of the five benchmark sweeps, counted: a fallback to a
     # degree-by-degree walk, an order table that stops bounding outside
-    # chains or a facet Hermite form recomputed per solve moves these
-    # counts.  A pin changes only on purpose, stated with the change.
+    # chains, a sweep that stops skipping the outside degrees whose order
+    # cannot change the report or a facet Hermite form recomputed per
+    # solve moves these counts.  A pin changes only on purpose, stated
+    # with the change.
     cases = []
     for name, p, window in SWEEP_WORK_INPUTS:
         S = sweep_input(request, name)
@@ -757,9 +844,11 @@ def test_sweep_work_pinned(request, monkeypatch):
     # at most one Hermite form per facet lattice, kept on its FacetData
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
-    assert calls == {"zero_class": 926, "frobenius_orbit": 340, "_outside_order": 6418}
-    # without the order table: 6,971 zero_class calls, 6,528 of them zero
-    assert verdicts == {"zero": 483, "nonzero": 279, "unknown": 164}
+    assert calls == {"zero_class": 694, "frobenius_orbit": 340, "_outside_order": 141}
+    # without the skips: 926 zero_class calls (483 zero, 279 nonzero, 164
+    # unknown) over 6,418 _outside_order calls; without the order table
+    # too, 6,971 zero_class calls, 6,528 of them zero
+    assert verdicts == {"zero": 412, "nonzero": 279, "unknown": 3}
 
 
 def test_row_runs_against_brute_force():
