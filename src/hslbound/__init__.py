@@ -37,7 +37,6 @@ from .errors import (
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    SmithDecomposition,
     hermite_normal_form,
     is_prime,
     largest_prime_factor,
@@ -79,7 +78,6 @@ __all__ = [
     "RegionTag",
     "SaturationData",
     "SimplicialSubcone",
-    "SmithDecomposition",
     "ZeroClassResult",
     "all_facet_data",
     "build",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .cohomology import MAX_WINDOW_DEGREES, empirical_hsl, hsl_exact_dim1, theoretical_bound
+from .cohomology import MAX_WINDOW_DEGREES, check_window, empirical_hsl, hsl_exact_dim1, theoretical_bound
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import MILLER_RABIN_LIMIT, is_prime
 from .semigroups import AffineSemigroup, all_facet_data, build, find_gamma, n_q
@@ -181,12 +181,10 @@ def cmd_verify(args) -> int:
         if value is not None and value < 0:
             raise InputError(f"{flag} must be nonnegative")
     S = build(load_input(args.input))
-    degrees = (2 * args.window + 1) ** S.dim
-    if degrees > MAX_WINDOW_DEGREES:
-        raise InputError(
-            f"--window {args.window} at rank {S.dim} spans {degrees} degrees,"
-            f" more than the limit of {MAX_WINDOW_DEGREES}"
-        )
+    try:
+        check_window(args.window, S.dim)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     cert = find_gamma(S, budget=args.budget)
     facets = all_facet_data(S)
     nq = n_q(S, facets)

@@ -48,7 +48,7 @@ from operator import add, ge
 
 from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
-from .intlinalg import IntVector, dot, solve_in_hermite_basis, vec_add, vec_mat, vec_scale
+from .intlinalg import IntVector, dot, vec_add, vec_scale
 from .semigroups import (
     AffineSemigroup,
     FacetData,
@@ -280,10 +280,12 @@ def zero_class(
 class OrbitReport:
     """Vanishing statuses of [x^{p^e v}] for e = 0..e_max.
 
-    kind is "nilpotent" (order = least e whose status is zero),
-    "not_nilpotent" (certified: interior degrees are Frobenius-stable,
-    boundary degrees by the exact lattice computation), or "unknown"
-    (only possible outside -sigma when e_max stops short of the bound).
+    kind is "nilpotent" (order = least e whose status is zero, or for a
+    boundary degree the least zero level past e_max), "not_nilpotent"
+    (certified: interior degrees are Frobenius-stable, boundary degrees
+    have no zero level up to the one their invariant factors bound), or
+    "unknown" (only possible outside -sigma when e_max stops short of the
+    bound).
     """
 
     v: IntVector
@@ -293,46 +295,18 @@ class OrbitReport:
     order: int | None
 
 
-def _p_adic_valuation(x: int, p: int) -> int:
-    k = 0
-    while x % p == 0:
-        x //= p
-        k += 1
-    return k
-
-
-def _boundary_nilpotency(S, facets, v, p, zero_facets) -> int | None:
-    """Least e with p^e * v in some zero-facet's generator lattice.
-
-    With a the hyperplane coordinates of v and y = a @ smith_v, the
-    condition is d_j | p^e * y_j, which splits into a p-free divisibility
-    (independent of e) and a p-power deficit.
-    """
-    best = None
-    for i in zero_facets:
-        fd = facets[i]
-        if not fd.facet_gens:
-            cand = 0 if not any(v) else None
-        else:
-            a = solve_in_hermite_basis(fd.hyperplane_basis, v)
-            if a is None:
-                raise AssertionError(f"facet {i}: {v} is not in the hyperplane lattice")
-            y = vec_mat(a, fd.smith_v)
-            cand = 0
-            for dj, yj in zip(fd.invariant_factors, y):
-                k = _p_adic_valuation(dj, p)
-                rest = dj // p**k
-                if yj % rest != 0:
-                    cand = None
-                    break
-                if k and yj != 0:
-                    cand = max(cand, k - min(k, _p_adic_valuation(yj, p)))
-        if cand is not None:
-            best = cand if best is None else min(best, cand)
-    return best
-
-
 MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
+
+
+def check_window(window: int, rank: int) -> None:
+    """Refuse a box [-window, window]^rank of more than MAX_WINDOW_DEGREES
+    degrees, with a ValueError that names its size."""
+    degrees = (2 * window + 1) ** rank
+    if degrees > MAX_WINDOW_DEGREES:
+        raise ValueError(
+            f"window {window} at rank {rank} spans {degrees} degrees,"
+            f" more than the limit of {MAX_WINDOW_DEGREES}"
+        )
 
 
 def _check_limits(p: int, **limits: int) -> None:
@@ -358,58 +332,55 @@ def frobenius_orbit(
     Once a level is zero, the next level reuses the scaled witness: if w
     kills p^e v then p*(p^e v + w) stays in the semigroup, so p*w kills
     the next level.  Outside -sigma, levels with p^e >= m_q must come out
-    zero via the constructive witness; that is asserted, not assumed.
-    Raises ValueError for p < 2 or a negative e_max or cap.
+    zero via the constructive witness; that is asserted, not assumed.  A
+    boundary degree with no zero level up to e_max is tested on, up to
+    the level its facets' invariant factors bound, which decides it; only
+    the statuses of levels 0..e_max are kept.  Raises ValueError for p < 2
+    or a negative e_max or cap.
     """
     _check_limits(p, e_max=e_max, cap=cap)
     v = tuple(int(e) for e in v)
     signs = sign_vector(S.cone, v)
     neg = neg_region(signs)
     outside = neg.kind == "outside_neg"
+    top = e_max
+    if neg.kind == "neg_boundary":
+        # the class of v in T_i = (hyperplane lattice) / L_i has an order
+        # dividing d, the largest invariant factor of facet i; if a power
+        # of p kills it, that order is some p^k <= d
+        for i in neg.zero_facets:
+            if facets[i].facet_gens:
+                top = max(top, _least_exponent(max(facets[i].invariant_factors), p))
     statuses: list[ZeroClassResult] = []
     first_zero: int | None = None
     power = 1
-    for e in range(e_max + 1):
-        if first_zero is not None:
+    for e in range(top + 1):
+        if first_zero is None:
+            st = zero_class(
+                S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
+            )
+            if st.is_zero:
+                first_zero = e
+        elif e > e_max:
+            break
+        else:
             prev = statuses[-1]
             st = _zero(
                 prev.facet,
                 vec_scale(prev.witness, p),
                 tuple(c * p for c in prev.witness_coeffs),
             )
-        else:
-            st = zero_class(
-                S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
-            )
-            if st.is_zero:
-                first_zero = e
         if outside and power >= cert.m_q and not st.is_zero:
             raise AssertionError(
                 f"constructive witness failed at p^{e} >= m_q for degree {v}"
             )
         statuses.append(st)
         power *= p
-    if neg.kind == "neg_interior":
-        kind, order = "not_nilpotent", None
-    elif neg.kind == "neg_boundary":
-        exact = _boundary_nilpotency(S, facets, v, p, neg.zero_facets)
-        if exact is None:
-            kind, order = "not_nilpotent", None
-            if first_zero is not None:
-                raise AssertionError(
-                    f"boundary degree {v}: level {first_zero} is zero, lattice order is infinite"
-                )
-        else:
-            kind, order = "nilpotent", exact
-            if exact <= e_max and first_zero != exact:
-                raise AssertionError(
-                    f"boundary degree {v}: lattice order {exact}, first zero level {first_zero}"
-                )
-    elif first_zero is not None:
-        kind, order = "nilpotent", first_zero
+    if first_zero is not None:
+        kind = "nilpotent"
     else:
-        kind, order = "unknown", None
-    return OrbitReport(v, p, tuple(statuses), kind, order)
+        kind = "unknown" if outside else "not_nilpotent"
+    return OrbitReport(v, p, tuple(statuses[: e_max + 1]), kind, first_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +576,7 @@ def empirical_hsl(
     violation and no new maximum.  The box is taken one row (all but the
     last coordinate fixed) at a time.  Along a row the support-form values
     are affine in the last coordinate x: s(x) = s0 + x * L, with s0 a sum
-    of multiples of the form columns and L the last column.  So the
+    of multiples of the other form columns and L the last column.  So the
     interior of -sigma, the non-positive set and the degrees whose
     constructive level e_c (the least e with some p^e s_i >= u_i(gamma),
     read from the thresholds ceil(u_i(gamma) / p^e)) exceeds lim are
@@ -615,7 +586,7 @@ def empirical_hsl(
     * the interior (every s_i < 0): not nilpotent; counted;
     * outside -sigma with e_c <= lim: counted;
     * the boundary (every s_i <= 0, some = 0), visited: frobenius_orbit,
-      which cross-checks the exact lattice order against its levels;
+      whose lattice test is exact at every level;
     * the other outside degrees, visited.  The order is at most k, the
       least order table entry at a v - g, g a generator, visited earlier.
       If k <= lim the degree is counted, with k stored as its entry; so
@@ -640,12 +611,8 @@ def empirical_hsl(
     MAX_WINDOW_DEGREES degrees.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
+    check_window(window, S.dim)
     width = 2 * window + 1
-    if width**S.dim > MAX_WINDOW_DEGREES:
-        raise ValueError(
-            f"window {window} at rank {S.dim} spans {width**S.dim} degrees,"
-            f" more than the limit of {MAX_WINDOW_DEGREES}"
-        )
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
     e_witness = _least_exponent(cert.m_q, p)
@@ -669,8 +636,10 @@ def empirical_hsl(
     flags = []
     coords = range(-window, window + 1)
     columns = tuple(zip(*S.support_forms))  # column k: the forms at e_k
-    multiples = [{c: vec_scale(col, c) for c in coords} for col in columns]
-    last, last_multiples = columns[-1], multiples[-1]
+    last = columns[-1]
+    # the prefix columns' multiples, shared by every row; a visited degree's
+    # signs are base + x * last, so the last column gets none
+    multiples = [{c: vec_scale(col, c) for c in coords} for col in columns[:-1]]
     # the order of each visited outside degree, by position in the box;
     # UNSET for every other degree and for orders that do not fit a byte
     orders = bytearray([UNSET]) * width**S.dim
@@ -714,7 +683,7 @@ def empirical_hsl(
                         class_counts["nilpotent"] += 1
                         continue
                 v = prefix + (x,)
-                signs = tuple(map(add, base, last_multiples[x]))
+                signs = tuple(b + x * c for b, c in zip(base, last))
                 if boundary:
                     orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
                     kind, order = orbit.kind, orbit.order

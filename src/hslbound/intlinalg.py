@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: normal forms, kernels, lattice solving.
+"""Exact integer linear algebra: normal forms, hyperplane lattices, primes.
 
 Vectors are tuples of Python ints and matrices are tuples of row tuples,
 so everything runs on arbitrary-precision integers.  Normal-form pipelines
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
@@ -199,27 +198,19 @@ def matrix_rank(A) -> int:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V == D for some unimodular U, with V unimodular and D diagonal.
+def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of A: the diagonal of its Smith normal form.
 
-    The diagonal is nonnegative, forms a divisibility chain, and any zero
-    entries come last.  invariant_factors is that diagonal.  U is not
-    built: the row operations act on D alone.
+    Some unimodular U and V have U @ A @ V == diag(d_1, ..., d_k), k =
+    min(m, n), with every d_j >= 0, d_j dividing d_{j+1}, and the zero
+    factors last.  Neither transform is built: the row and column
+    operations act on D alone.
     """
-
-    d: IntMatrix
-    v: IntMatrix
-    invariant_factors: tuple[int, ...]
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     A = matrix(A)
     if not A:
         raise ValueError("empty matrix")
     m, n = len(A), len(A[0])
     D = [list(r) for r in A]
-    V = [list(r) for r in identity_matrix(n)]
 
     def row_combine(i1, i2, x, y, z, w):
         # rows (i1, i2) <- [x y; z w] @ rows, with xw - yz == +-1
@@ -229,16 +220,14 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     def col_combine(j1, j2, x, y, z, w):
         # cols (j1, j2) <- cols @ [x z; y w]
-        for R in (D, V):
-            for r in R:
-                a, b = r[j1], r[j2]
-                r[j1] = x * a + y * b
-                r[j2] = z * a + w * b
+        for r in D:
+            a, b = r[j1], r[j2]
+            r[j1] = x * a + y * b
+            r[j2] = z * a + w * b
 
     def col_swap(j1, j2):
-        for R in (D, V):
-            for r in R:
-                r[j1], r[j2] = r[j2], r[j1]
+        for r in D:
+            r[j1], r[j2] = r[j2], r[j1]
 
     k = min(m, n)
     for t in range(k):
@@ -297,8 +286,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if D[j][j] < 0:
             for r in D:
                 r[j] = -r[j]
-            for r in V:
-                r[j] = -r[j]
 
     changed = True
     while changed:
@@ -309,12 +296,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 fix_pair(i, i + 1)
                 changed = True
 
-    factors = tuple(D[i][i] for i in range(k))
-    return SmithDecomposition(matrix(D), matrix(V), factors)
+    return tuple(D[i][i] for i in range(k))
 
 
 # ---------------------------------------------------------------------------
-# kernels and lattice solving
+# hyperplane lattices and lattice solving
 
 
 def hyperplane_basis(u) -> IntMatrix:

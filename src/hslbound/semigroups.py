@@ -379,15 +379,13 @@ class FacetData:
 
     facet_gens generate the facet semigroup (a generator sum can only land
     on the facet if every summand does, since the form is nonnegative on
-    all generators).  hyperplane_basis is the Hermite basis of the
-    hyperplane lattice {x : u . x == 0}, read off the primitive support
-    form u without a normal form (intlinalg.hyperplane_basis).
-    coord_matrix expresses the facet generators in that basis, by
-    back-substitution along its pivots; its Smith invariant factors
-    measure the index of the facet semigroup's lattice inside the full
-    hyperplane lattice.  smith_v is the column transform V of that Smith
-    form: hyperplane coordinates a lie in the facet lattice iff each
-    invariant factor d_j divides (a @ V)_j.
+    all generators).  coord_matrix expresses the facet generators in the
+    Hermite basis of the hyperplane lattice {x : u . x == 0}, which is read
+    off the primitive support form u without a normal form
+    (intlinalg.hyperplane_basis).  Its Smith invariant factors measure the
+    index of the facet semigroup's lattice inside the full hyperplane
+    lattice: the quotient is finite, and the largest factor is a multiple
+    of the order of each of its elements.
 
     The Hermite form (H, U) of facet_gens, which facet_witness_combo solves
     against, is computed on the first solve and kept, as
@@ -399,11 +397,9 @@ class FacetData:
     support_form: IntVector
     facet_gen_indices: tuple[int, ...]
     facet_gens: IntMatrix
-    hyperplane_basis: IntMatrix
     coord_matrix: IntMatrix
     invariant_factors: tuple[int, ...]
     interior_element: IntVector
-    smith_v: IntMatrix
 
     @cached_property
     def _hermite(self) -> tuple[IntMatrix, IntMatrix]:
@@ -416,12 +412,12 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     idxs = S.cone.facet_generator_sets[i]
     fgens = tuple(S.generators[j] for j in idxs)
     if n == 1:
-        return FacetData(i, u, idxs, fgens, (), (), (), S.zero, ())
+        return FacetData(i, u, idxs, fgens, (), (), S.zero)
     basis = hyperplane_basis(u)
     coords = matrix([solve_in_hermite_basis(basis, g) for g in fgens])
-    snf = smith_normal_form(coords)
+    factors = smith_normal_form(coords)
     # the generators span the hyperplane iff there are n-1 nonzero factors
-    if len(snf.invariant_factors) != n - 1 or 0 in snf.invariant_factors:
+    if len(factors) != n - 1 or 0 in factors:
         raise AssertionError(f"facet {i}: facet generators do not span the hyperplane")
     interior = S.zero
     for g in fgens:
@@ -429,7 +425,7 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     for j, other in enumerate(S.support_forms):
         if j != i and dot(other, interior) <= 0:
             raise AssertionError(f"facet {i}: generator sum lies on facet {j}")
-    return FacetData(i, u, idxs, fgens, basis, coords, snf.invariant_factors, interior, snf.v)
+    return FacetData(i, u, idxs, fgens, coords, factors, interior)
 
 
 def all_facet_data(S: AffineSemigroup) -> tuple[FacetData, ...]:

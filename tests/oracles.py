@@ -6,8 +6,11 @@ routines it checks.  The reference chain of the window sweep and
 `decompose` are plain per-call versions of what the library does in bulk,
 or no longer does at all; so are `kernel_basis` and the cofactor
 `adjugate`, which the library replaced by `hyperplane_basis` and
-`adjugate_det`.  The matrix products and `sat_member` are here because
-only the tests read them.
+`adjugate_det`.  `smith_boundary_order` is the p-adic reading of a
+boundary degree's Frobenius order off a Smith decomposition taken from
+sympy, which the library replaced by zero_class's lattice test at every
+level.  The matrix products and `sat_member` are here because only the
+tests read them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import mul
 
 from hslbound.cohomology import zero_class
 from hslbound.cones import sign_vector
@@ -85,6 +89,33 @@ def adjugate(A):
     return tuple(
         tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(n)) for i in range(n)
     )
+
+
+def determinantal_divisors(A):
+    """(D_1, ..., D_k), k = min(m, n), with D_j the gcd of the j x j minors
+    of A (0 when they all vanish)."""
+    m, n = len(A), len(A[0])
+    return tuple(
+        math.gcd(
+            *(
+                det(tuple(tuple(A[r][c] for c in cols) for r in rows))
+                for rows in combinations(range(m), j)
+                for cols in combinations(range(n), j)
+            )
+        )
+        for j in range(1, min(m, n) + 1)
+    )
+
+
+def smith_factors_hold(A, factors):
+    """factors are the invariant factors of A: min(m, n) nonnegative entries
+    in a divisibility chain, zeros last, with d_1 * ... * d_j == D_j, the
+    j-th determinantal divisor.  The chain and the products fix them."""
+    if len(factors) != min(len(A), len(A[0])) or min(factors) < 0:
+        return False
+    if any((b % a if a else b) for a, b in zip(factors, factors[1:])):
+        return False
+    return tuple(accumulate(factors, mul)) == determinantal_divisors(A)
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int, lo: int, hi: int):
@@ -347,3 +378,57 @@ def reference_outside_orders(S, cert, facets, p, window, e_max, cap):
                 orders[v] = e
                 break
     return orders, called
+
+
+def _p_adic_valuation(x: int, p: int) -> int:
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
+def smith_boundary_order(facets, v, p, smith=None):
+    """Least e with p^e v in the lattice L_i of some facet i with
+    u_i(v) == 0, or None; v is a degree on the boundary of -sigma, and the
+    semigroup has rank at least 2.
+
+    With a the hyperplane coordinates of v (in kernel_basis of u_i, which
+    equals the hyperplane_basis coord_matrix C is written in) and
+    D == U @ C @ V the Smith decomposition of C from sympy, a lies in the
+    row lattice of C iff each diagonal entry d_j divides (a @ V)_j.  So
+    p^e v lies in L_i iff the p-free part of each d_j divides (a @ V)_j
+    and e makes up each p-power deficit.  smith, when given, is a dict
+    that caches (kernel basis, diagonal, V) by facet index.
+    """
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    smith = {} if smith is None else smith
+    best = None
+    for fd in facets:
+        if dot(fd.support_form, v) != 0:
+            continue
+        if fd.index not in smith:
+            D, _, V = smith_normal_decomp(Matrix(fd.coord_matrix), domain=ZZ)
+            V = tuple(tuple(int(e) for e in V.row(i)) for i in range(V.rows))
+            if abs(det(V)) != 1:
+                raise AssertionError(f"facet {fd.index}: V is not unimodular")
+            diag = tuple(abs(int(D[j, j])) for j in range(min(D.shape)))
+            smith[fd.index] = (kernel_basis((fd.support_form,)), diag, V)
+        basis, diag, V = smith[fd.index]
+        a = solve_rational(transpose(basis), v)
+        if a is None or any(x.denominator != 1 for x in a):
+            raise AssertionError(f"{v} is not in the hyperplane lattice of facet {fd.index}")
+        y = tuple(sum(int(x) * row[j] for x, row in zip(a, V)) for j in range(len(V[0])))
+        cand = 0
+        for d, yj in zip(diag, y):
+            k = _p_adic_valuation(d, p)
+            if yj % (d // p**k):
+                cand = None
+                break
+            if k and yj:
+                cand = max(cand, k - min(k, _p_adic_valuation(yj, p)))
+        if cand is not None:
+            best = cand if best is None else min(best, cand)
+    return best

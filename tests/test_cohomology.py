@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -34,6 +35,7 @@ from oracles import (
     random_signed_generators,
     reference_outside_orders,
     semigroup_elements_upto,
+    smith_boundary_order,
 )
 
 CAP = 470  # 10 * m_q for the wedge certificate below
@@ -308,6 +310,23 @@ def test_empirical_refuses_oversized_box(request, monkeypatch, name, window):
     monkeypatch.setattr(cohomology, "n_q", no_work)
     with pytest.raises(ValueError, match=f"{(2 * window + 1) ** S.dim} degrees"):
         empirical_hsl(S, cert, facets, 2, window, 3, 20)
+
+
+def test_rank1_box_at_the_limit(ns35, ns35_ctx):
+    # the largest rank-1 box is one row of which few degrees are visited,
+    # so its cost is the one-byte order table: no per-x multiples of the
+    # last form column are built
+    cert, facets = ns35_ctx
+    window = (cohomology.MAX_WINDOW_DEGREES - 1) // 2
+    tracemalloc.start()
+    try:
+        rep = empirical_hsl(ns35, cert, facets, 2, window, 5, 10 * cert.m_q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.class_counts == {"nilpotent": 500000, "not_nilpotent": 499999, "unknown": 0}
+    assert rep.empirical_max == 3
+    assert peak < 4 * 2**20, peak
 
 
 def test_orbit_positive_order_off_boundary(index2, index2_ctx):
@@ -849,6 +868,77 @@ def test_sweep_work_pinned(request, monkeypatch):
     # unknown) over 6,418 _outside_order calls; without the order table
     # too, 6,971 zero_class calls, 6,528 of them zero
     assert verdicts == {"zero": 412, "nonzero": 279, "unknown": 3}
+
+
+def boundary_degrees(S, window):
+    """The degrees of [-window, window]^rank on the boundary of -sigma."""
+    return [
+        v
+        for v in product(range(-window, window + 1), repeat=S.dim)
+        if neg_region(sign_vector(S.cone, v)).kind == "neg_boundary"
+    ]
+
+
+def smith_reference(facets, v, p, smith):
+    """(kind, order) of the boundary degree v, by the p-adic formula read
+    off a Smith decomposition (oracles.smith_boundary_order)."""
+    order = smith_boundary_order(facets, v, p, smith)
+    return ("not_nilpotent", None) if order is None else ("nilpotent", order)
+
+
+def test_boundary_orders_match_smith_formula_on_benchmark_windows(request):
+    # every boundary degree of the five benchmark sweeps, at their limits:
+    # frobenius_orbit's levels against the independent p-adic route
+    pytest.importorskip("sympy")
+    count = 0
+    for name, p, window in SWEEP_WORK_INPUTS:
+        S = sweep_input(request, name)
+        cert, facets = pipeline(S)
+        bound = theoretical_bound(cert, n_q(S, facets), p)
+        e_max = 10 if bound is None else bound + 2
+        smith = {}
+        for v in boundary_degrees(S, window):
+            orbit = frobenius_orbit(S, cert, facets, v, p, e_max, 10 * cert.m_q)
+            assert (orbit.kind, orbit.order) == smith_reference(facets, v, p, smith), (name, v)
+            count += 1
+    assert count == 340
+
+
+def test_boundary_orders_match_smith_formula_on_random_semigroups():
+    # seeded rank 2-4 semigroups at small primes and small e_max, so that
+    # some orders lie past e_max, where frobenius_orbit tests on up to the
+    # level the invariant factors bound; inputs whose gamma search runs
+    # out of budget are counted.  3,708 orbits, each rank with orders past
+    # e_max and degrees that are not nilpotent
+    pytest.importorskip("sympy")
+    windows = {2: 6, 3: 3, 4: 2}
+    spreads = {2: 2, 3: 2, 4: 1}  # at rank 4 most spread-2 searches run out
+    exhausted, kinds = Counter(), Counter()
+    for seed, rank in product(range(6), (2, 3, 4)):
+        inputs = (
+            random_raw_generators(random.Random(seed), rank),
+            random_signed_generators(random.Random(seed), rank, spreads[rank]),
+        )
+        for gens in inputs:
+            S = build(gens)
+            try:
+                cert = find_gamma(S, budget=1000)
+            except BudgetExhaustedError:
+                exhausted[rank] += 1
+                continue
+            facets = all_facet_data(S)
+            smith = {}
+            for v, p in product(boundary_degrees(S, windows[rank]), (2, 3, 5)):
+                kind, order = smith_reference(facets, v, p, smith)
+                for e_max in (0, 1, 3):
+                    orbit = frobenius_orbit(S, cert, facets, v, p, e_max, 10 * cert.m_q)
+                    assert (orbit.kind, orbit.order) == (kind, order), (gens, v, p, e_max)
+                    assert len(orbit.statuses) == e_max + 1
+                    past = order is not None and order > e_max
+                    kinds[rank, "past e_max" if past else kind] += 1
+    # every random_raw_generators input of rank 4 runs out
+    assert exhausted == {3: 3, 4: 7}
+    assert all(kinds[rank, k] for rank in windows for k in ("past e_max", "not_nilpotent")), kinds
 
 
 def test_row_runs_against_brute_force():

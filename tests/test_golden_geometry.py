@@ -17,7 +17,7 @@ from oracles import random_raw_generators
 
 GOLDEN_SEED = 20240611
 GOLDEN_COUNT = 60
-GOLDEN_DIGEST = "c2cb170dbba9fa18e3f5bcd758ad0ef07535139d597d9289a2020c37b965990d"
+GOLDEN_DIGEST = "b97eca094d595df23e5921f0e1a6f4d42efbae359473c95e18e23945b7844024"
 
 
 def geometry_record(S):
