@@ -48,7 +48,7 @@ from operator import add, ge
 
 from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
-from .intlinalg import IntVector, dot, vec_add, vec_scale
+from .intlinalg import IntVector, dot, vec_add, vec_mat, vec_scale
 from .semigroups import (
     AffineSemigroup,
     FacetData,
@@ -97,14 +97,11 @@ class ZeroClassResult:
             if self.facet not in range(len(facets)) or self.witness_coeffs is None:
                 return False
             fd = facets[self.facet]
-            if len(self.witness_coeffs) != len(fd.facet_gens):
+            coeffs = self.witness_coeffs
+            if len(coeffs) != len(fd.facet_gens) or any(c < 0 for c in coeffs):
                 return False
-            total = S.zero
-            for c, g in zip(self.witness_coeffs, fd.facet_gens, strict=True):
-                if c < 0:
-                    return False
-                total = vec_add(total, vec_scale(g, c))
-            if total != self.witness:
+            # a facet with no generators (rank 1) sums to the empty tuple
+            if (vec_mat(coeffs, fd.facet_gens) or S.zero) != self.witness:
                 return False
             if dot(fd.support_form, self.witness) != 0:
                 return False
@@ -226,10 +223,7 @@ def zero_class(
             if combo is None:
                 continue
             coeffs = tuple(max(0, -c) for c in combo)
-            w = S.zero
-            for c, g in zip(coeffs, facets[i].facet_gens):
-                w = vec_add(w, vec_scale(g, c))
-            return _zero(i, w, coeffs)
+            return _zero(i, vec_mat(coeffs, facets[i].facet_gens) or S.zero, coeffs)
         return ZeroClassResult(
             "nonzero", certificate="boundary_lattice", checked_facets=neg.zero_facets
         )
@@ -586,7 +580,8 @@ def empirical_hsl(
     * the interior (every s_i < 0): not nilpotent; counted;
     * outside -sigma with e_c <= lim: counted;
     * the boundary (every s_i <= 0, some = 0), visited: frobenius_orbit,
-      whose lattice test is exact at every level;
+      whose lattice test is exact at every level and runs up to the level
+      the facets' invariant factors bound, whatever e_max is;
     * the other outside degrees, visited.  The order is at most k, the
       least order table entry at a v - g, g a generator, visited earlier.
       If k <= lim the degree is counted, with k stored as its entry; so
@@ -685,7 +680,9 @@ def empirical_hsl(
                 v = prefix + (x,)
                 signs = tuple(b + x * c for b, c in zip(base, last))
                 if boundary:
-                    orbit = frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+                    # e_max 0 is exact: only kind and order are read, and
+                    # the orbit still tests up to its invariant factors' top
+                    orbit = frobenius_orbit(S, cert, facets, v, p, 0, cap)
                     kind, order = orbit.kind, orbit.order
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)

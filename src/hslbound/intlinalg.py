@@ -203,100 +203,57 @@ def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
 
     Some unimodular U and V have U @ A @ V == diag(d_1, ..., d_k), k =
     min(m, n), with every d_j >= 0, d_j dividing d_{j+1}, and the zero
-    factors last.  Neither transform is built: the row and column
-    operations act on D alone.
+    factors last; neither is built.  Step t is least-remainder
+    elimination: an entry p of least absolute value moves to (t, t), and
+    column t and row t are reduced by floor division by p.  A nonzero
+    remainder is smaller than |p|, so it is the next pivot and the step
+    restarts.  Once both are clear, a later row with an entry that p does
+    not divide is added to row t, which restarts the step at the same p
+    and leaves such a remainder; with none, d_t = |p|.
     """
     A = matrix(A)
     if not A:
         raise ValueError("empty matrix")
     m, n = len(A), len(A[0])
-    D = [list(r) for r in A]
-
-    def row_combine(i1, i2, x, y, z, w):
-        # rows (i1, i2) <- [x y; z w] @ rows, with xw - yz == +-1
-        top, bot = D[i1], D[i2]
-        D[i1] = [x * s + y * t for s, t in zip(top, bot)]
-        D[i2] = [z * s + w * t for s, t in zip(top, bot)]
-
-    def col_combine(j1, j2, x, y, z, w):
-        # cols (j1, j2) <- cols @ [x z; y w]
-        for r in D:
-            a, b = r[j1], r[j2]
-            r[j1] = x * a + y * b
-            r[j2] = z * a + w * b
-
-    def col_swap(j1, j2):
-        for r in D:
-            r[j1], r[j2] = r[j2], r[j1]
-
     k = min(m, n)
+    D = [list(r) for r in A]
+    factors = []
     for t in range(k):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < pivot[0]):
-                    pivot = (abs(D[i][j]), i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            D[t], D[pi] = D[pi], D[t]
-        if pj != t:
-            col_swap(t, pj)
-        # Clear column t, then row t, repeating while gcd steps cross-dirty
-        # the other line.  Divisible entries are removed by plain
-        # elimination (which cannot re-dirty anything); a full 2x2 gcd
-        # transform strictly shrinks |D[t][t]|, so the loop terminates.
         while True:
-            col_dirty = [i for i in range(m) if i != t and D[i][t]]
-            if col_dirty:
-                for i in col_dirty:
-                    a, b = D[t][t], D[i][t]
-                    if b % a == 0:
-                        row_combine(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        row_combine(t, i, x, y, -(b // g), a // g)
+            # ties go to the lowest (i, j), so a restart keeps a least p at (t, t)
+            least = min(
+                ((abs(e), i, j) for i in range(t, m) for j in range(t, n) if (e := D[i][j])),
+                default=None,
+            )
+            if least is None:
+                return tuple(factors) + (0,) * (k - t)
+            _, pi, pj = least
+            D[t], D[pi] = D[pi], D[t]
+            rest = D[t:]  # zero left of column t, as rows before t are right of it
+            for r in rest:
+                r[t], r[pj] = r[pj], r[t]
+            top = D[t]
+            p = top[t]
+            clear = True
+            for r in rest[1:]:
+                q = r[t] // p
+                if q:
+                    r[t:] = [a - q * b for a, b in zip(r[t:], top[t:])]
+                clear = clear and not r[t]
+            for j in range(t + 1, n):
+                q = top[j] // p
+                if q:
+                    for r in rest:
+                        r[j] -= q * r[t]
+                clear = clear and not top[j]
+            if not clear:
                 continue
-            row_dirty = [j for j in range(n) if j != t and D[t][j]]
-            if row_dirty:
-                for j in row_dirty:
-                    a, b = D[t][t], D[t][j]
-                    if b % a == 0:
-                        col_combine(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_combine(t, j, x, y, -(b // g), a // g)
-                continue
-            break
-
-    for t in range(k):
-        if D[t][t] < 0:
-            D[t] = [-e for e in D[t]]
-
-    def fix_pair(i, j):
-        # replace diag entries (a, b) by (gcd, lcm) via a local 2x2 reduction
-        a, b = D[i][i], D[j][j]
-        col_combine(i, j, 1, 0, 1, 1)  # col_j += col_i
-        g, x, y = xgcd(a, b)
-        row_combine(i, j, x, y, -(b // g), a // g)
-        col_swap(i, j)
-        q = (x * a) // g  # exact: g divides a
-        col_combine(i, j, 1, 0, -q, 1)  # col_j -= q * col_i
-        if D[j][j] < 0:
-            for r in D:
-                r[j] = -r[j]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if (a == 0 and b != 0) or (a != 0 and b % a != 0):
-                fix_pair(i, i + 1)
-                changed = True
-
-    return tuple(D[i][i] for i in range(k))
+            bad = next((r for r in rest[1:] if any(e % p for e in r[t + 1 :])), None)
+            if bad is None:
+                break
+            D[t] = [a + b for a, b in zip(top, bad)]
+        factors.append(abs(p))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

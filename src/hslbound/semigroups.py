@@ -256,14 +256,9 @@ class GammaCertificate:
         """
 
         def combo(coeffs):
-            if len(coeffs) != len(S.generators):
+            if len(coeffs) != len(S.generators) or any(c < 0 for c in coeffs):
                 return None
-            out = S.zero
-            for c, g in zip(coeffs, S.generators):
-                if c < 0:
-                    return None
-                out = vec_add(out, tuple(c * e for e in g))
-            return out
+            return vec_mat(coeffs, S.generators)
 
         if combo(self.gamma_coeffs) != self.gamma:
             return False
@@ -419,9 +414,7 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     # the generators span the hyperplane iff there are n-1 nonzero factors
     if len(factors) != n - 1 or 0 in factors:
         raise AssertionError(f"facet {i}: facet generators do not span the hyperplane")
-    interior = S.zero
-    for g in fgens:
-        interior = vec_add(interior, g)
+    interior = vec_mat((1,) * len(fgens), fgens)
     for j, other in enumerate(S.support_forms):
         if j != i and dot(other, interior) <= 0:
             raise AssertionError(f"facet {i}: generator sum lies on facet {j}")

@@ -329,6 +329,23 @@ def test_rank1_box_at_the_limit(ns35, ns35_ctx):
     assert peak < 4 * 2**20, peak
 
 
+def test_boundary_cost_does_not_grow_with_e_max(index2, index2_ctx):
+    # a boundary order is decided by its facets' invariant factors alone,
+    # so the sweep neither tests levels nor scales witnesses up to e_max
+    cert, facets = index2_ctx
+    cap = 10 * cert.m_q
+    small = empirical_hsl(index2, cert, facets, 2, 3, 10, cap).as_dict()
+    tracemalloc.start()
+    try:
+        large = empirical_hsl(index2, cert, facets, 2, 3, 20000, cap).as_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large.pop("e_max") == 20000 and small.pop("e_max") == 10
+    assert large == small
+    assert peak < 2**20, peak
+
+
 def test_orbit_positive_order_off_boundary(index2, index2_ctx):
     # (0,1): the only eligible witness sweep walks the even-x facet, so
     # nothing kills the class at e=0, but p*(0,1) dies for every p
@@ -596,8 +613,9 @@ def test_forced_violations_match_orbit_tally(request, monkeypatch, name, p, wind
     ],
 )
 def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
-    # the sweep hands frobenius_orbit the same degrees in the same order as
-    # a degree-by-degree walk; the outside degrees it evaluates come in
+    # the sweep hands frobenius_orbit, at e_max 0, the same degrees in the
+    # same order as a degree-by-degree walk, and gets the orders an orbit
+    # at the full e_max gives; the outside degrees it evaluates come in
     # reference order (it skips those whose order cannot change the
     # report), each one's zero_class calls are a prefix of the reference
     # chain, any reference call left out is zero (the level the order
@@ -614,6 +632,11 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
         signs = sign_vector(S.cone, v)
         got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
         assert got == order, v
+    boundary = boundary_degrees(S, window)
+    # the boundary orders at the full e_max, which the sweep's must equal
+    full_orders = {
+        v: cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap).order for v in boundary
+    }
     events = []  # (caller, degree, the degrees it handed to zero_class)
     sweep_orders = {}  # by degree: the order, None unless nilpotent
     real_zero_class, real_orbit = cohomology.zero_class, cohomology.frobenius_orbit
@@ -640,11 +663,11 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
     cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
     sweep_events = events.copy()
     events.clear()
-    for v in product(range(-window, window + 1), repeat=S.dim):
-        if max(sign_vector(S.cone, v)) == 0:
-            cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap)
+    for v in boundary:
+        cohomology.frobenius_orbit(S, cert, facets, v, p, 0, cap)
     assert ("frobenius_orbit", S.zero) in [e[:2] for e in events]
     assert [e for e in sweep_events if e[0] == "frobenius_orbit"] == events
+    assert all(sweep_orders[v] == order for v, order in full_orders.items())
     outside = [(v, calls) for caller, v, calls in sweep_events if caller == "outside"]
     reference = iter(v for v, chain in chains.items() if chain)
     assert all(v in reference for v, _ in outside)  # a subsequence, in order
@@ -863,11 +886,14 @@ def test_sweep_work_pinned(request, monkeypatch):
     # at most one Hermite form per facet lattice, kept on its FacetData
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
-    assert calls == {"zero_class": 694, "frobenius_orbit": 340, "_outside_order": 141}
-    # without the skips: 926 zero_class calls (483 zero, 279 nonzero, 164
-    # unknown) over 6,418 _outside_order calls; without the order table
-    # too, 6,971 zero_class calls, 6,528 of them zero
-    assert verdicts == {"zero": 412, "nonzero": 279, "unknown": 3}
+    assert calls == {"zero_class": 562, "frobenius_orbit": 340, "_outside_order": 141}
+    # the boundary orbits run at e_max 0: at the full e_max, D4's 66
+    # degrees that are not nilpotent were tested on 4 levels each, not 2
+    # (694 zero_class calls, 279 nonzero).  Without the skips: 926
+    # zero_class calls (483 zero, 279 nonzero, 164 unknown) over 6,418
+    # _outside_order calls; without the order table too, 6,971 zero_class
+    # calls, 6,528 of them zero
+    assert verdicts == {"zero": 412, "nonzero": 147, "unknown": 3}
 
 
 def boundary_degrees(S, window):

@@ -97,6 +97,14 @@ def test_snf_examples():
     assert smith_normal_form(((2, 0), (0, 3))) == (1, 6)
     assert smith_normal_form(identity_matrix(3)) == (1, 1, 1)
     assert smith_normal_form(((0,),)) == (0,)
+    # row and column clear, but the pivot 4 does not divide 6: the
+    # divisibility step adds row 1 to row 0
+    assert smith_normal_form(((4, 0), (0, 6))) == (2, 12)
+    # a zero row and column, so the zero factor goes last
+    assert smith_normal_form(((0, 0), (0, 5))) == (5, 0)
+    # negative pivots give positive factors
+    assert smith_normal_form(((-3,),)) == (3,)
+    assert smith_normal_form(((-2, 0), (0, -4))) == (2, 4)
     # the determinantal divisors tell (1, 6) from (2, 3), which has the
     # same product
     assert not smith_factors_hold(((2, 0), (0, 3)), (2, 3))
@@ -116,10 +124,16 @@ def test_snf_invariant_factors_against_sympy():
     from sympy.matrices.normalforms import invariant_factors
 
     rng = random.Random(8)
-    for _ in range(150):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        A = random_int_matrix(rng, m, n, -9, 9)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, 7)
+        bound = rng.choice((9, 100, 10**4))
+        A = [list(r) for r in random_int_matrix(rng, m, n, -bound, bound)]
+        if m > 1 and rng.random() < 0.3:
+            # rank deficient: row i is a combination of the others
+            i = rng.randrange(m)
+            coeffs = [0 if r == i else rng.randint(-3, 3) for r in range(m)]
+            A[i] = list(vec_mat(coeffs, A))
         ref = [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
         # sympy leaves out the zero factors of a rank-deficient matrix
         ref += [0] * (min(m, n) - len(ref))
