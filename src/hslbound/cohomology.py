@@ -184,7 +184,7 @@ def zero_class(
     signs, when given, must be v's support-form vector
     sign_vector(S.cone, v); callers that hold it already pass it rather
     than have it recomputed.  Otherwise it is computed here, and a v of
-    the wrong length raises ValueError.
+    the wrong length raises ValueError, as does a negative cap.
 
     Decision by region of v relative to -sigma:
 
@@ -206,6 +206,8 @@ def zero_class(
       entry >= u(gamma) lies in gamma + saturation, and any other is
       decided by the membership oracle.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     v = tuple(int(e) for e in v)
     if signs is None:
         signs = sign_vector(S.cone, v)

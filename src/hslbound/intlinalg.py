@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -69,8 +69,7 @@ def vec_mat(x: IntVector, A: IntMatrix) -> IntVector:
     """x @ A with x a row vector."""
     if len(x) != len(A):
         raise ValueError("length mismatch")
-    n = len(A[0]) if A else 0
-    return tuple(sum(x[i] * A[i][j] for i in range(len(A))) for j in range(n))
+    return tuple(sum(map(mul, x, col)) for col in zip(*A))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

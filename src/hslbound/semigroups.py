@@ -374,27 +374,34 @@ class FacetData:
 
     facet_gens generate the facet semigroup (a generator sum can only land
     on the facet if every summand does, since the form is nonnegative on
-    all generators).  coord_matrix expresses the facet generators in the
-    Hermite basis of the hyperplane lattice {x : u . x == 0}, which is read
-    off the primitive support form u without a normal form
-    (intlinalg.hyperplane_basis).  Its Smith invariant factors measure the
-    index of the facet semigroup's lattice inside the full hyperplane
-    lattice: the quotient is finite, and the largest factor is a multiple
-    of the order of each of its elements.
+    all generators).  invariant_factors are the nonzero Smith invariant
+    factors of facet_gens themselves, taken in Z^n: the support form u is
+    primitive, so the hyperplane lattice H = {x : u . x == 0} is a direct
+    summand of Z^n and Z^n / L ≅ (H / L) ⊕ Z, L the lattice of the facet
+    semigroup.  They measure L's index inside H: the quotient H / L is
+    finite, and the largest factor is a multiple of the order of each of
+    its elements.  interior_element, the sum of facet_gens, lies on this
+    facet and strictly inside every other facet's half-space.
 
-    The Hermite form (H, U) of facet_gens, which facet_witness_combo solves
-    against, is computed on the first solve and kept, as
-    AffineSemigroup._apery is, so facet data never solved against holds
-    none.
+    coord_matrix expresses the facet generators in the Hermite basis of H,
+    read off u without a normal form (intlinalg.hyperplane_basis); its
+    invariant factors are the same.  No pipeline step reads it, so it is
+    built on first read and kept.  The Hermite form (H, U) of facet_gens,
+    which facet_witness_combo solves against, is likewise built on the
+    first solve and kept, as AffineSemigroup._apery is.
     """
 
     index: int
     support_form: IntVector
     facet_gen_indices: tuple[int, ...]
     facet_gens: IntMatrix
-    coord_matrix: IntMatrix
     invariant_factors: tuple[int, ...]
     interior_element: IntVector
+
+    @cached_property
+    def coord_matrix(self) -> IntMatrix:
+        basis = hyperplane_basis(self.support_form)
+        return matrix([solve_in_hermite_basis(basis, g) for g in self.facet_gens])
 
     @cached_property
     def _hermite(self) -> tuple[IntMatrix, IntMatrix]:
@@ -407,18 +414,17 @@ def facet_data(S: AffineSemigroup, i: int) -> FacetData:
     idxs = S.cone.facet_generator_sets[i]
     fgens = tuple(S.generators[j] for j in idxs)
     if n == 1:
-        return FacetData(i, u, idxs, fgens, (), (), S.zero)
-    basis = hyperplane_basis(u)
-    coords = matrix([solve_in_hermite_basis(basis, g) for g in fgens])
-    factors = smith_normal_form(coords)
+        return FacetData(i, u, idxs, fgens, (), S.zero)
+    factors = tuple(d for d in smith_normal_form(fgens) if d)
     # the generators span the hyperplane iff there are n-1 nonzero factors
-    if len(factors) != n - 1 or 0 in factors:
+    if len(factors) != n - 1:
         raise AssertionError(f"facet {i}: facet generators do not span the hyperplane")
-    interior = vec_mat((1,) * len(fgens), fgens)
-    for j, other in enumerate(S.support_forms):
-        if j != i and dot(other, interior) <= 0:
+    # the generators' form vectors sum to the form vector of their sum
+    values = vec_mat((1,) * len(idxs), [S.cone.generator_forms[j] for j in idxs])
+    for j, value in enumerate(values):
+        if j != i and value <= 0:
             raise AssertionError(f"facet {i}: generator sum lies on facet {j}")
-    return FacetData(i, u, idxs, fgens, coords, factors, interior)
+    return FacetData(i, u, idxs, fgens, factors, vec_mat((1,) * len(fgens), fgens))
 
 
 def all_facet_data(S: AffineSemigroup) -> tuple[FacetData, ...]:

@@ -100,6 +100,15 @@ def test_zero_class_unknown_under_tiny_cap(wedge, wedge_ctx):
     assert res.verdict == "unknown" and res.cap == 5
 
 
+def test_zero_class_rejects_negative_cap(wedge, wedge_ctx):
+    # a negative cap is refused, not read as a search that ran out; (1, 1)
+    # reaches the capped search, and (0, 0) is decided before it
+    cert, facets = wedge_ctx
+    for v in ((1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            zero_class(wedge, cert, facets, v, -1)
+
+
 def test_zero_class_boundary_nonzero(index2, index2_ctx):
     cert, facets = index2_ctx
     res = zero_class(index2, cert, facets, (-1, 0), CAP)

@@ -11,11 +11,13 @@ from hslbound.intlinalg import (
     dot,
     hermite_normal_form,
     hyperplane_basis,
+    smith_normal_form,
     solve_in_hermite_basis,
     vec_add,
     vec_mat,
     vec_scale,
 )
+from hslbound.cohomology import empirical_hsl
 from hslbound.semigroups import (
     all_facet_data,
     build,
@@ -28,7 +30,12 @@ from hslbound.semigroups import (
     saturation_residues,
     verify_gamma,
 )
-from oracles import random_raw_generators, sat_member, semigroup_elements_upto
+from oracles import (
+    random_raw_generators,
+    random_signed_generators,
+    sat_member,
+    semigroup_elements_upto,
+)
 
 
 def test_build_wedge(wedge):
@@ -423,15 +430,62 @@ def test_nq_index_two(index2):
     assert flat == [1, 2]
     assert n_q(index2) == 2
     # cross-check the index-2 factor straight from the Smith form
-    from hslbound.intlinalg import smith_normal_form
-
     fd = next(f for f in facets if 2 in f.invariant_factors)
     assert fd.facet_gens == ((2, 0),)
     assert smith_normal_form(fd.coord_matrix) == (2,)
 
 
-def test_facet_invariants_random(index2, wedge):
-    for S in (index2, wedge):
+def test_facet_invariants_random():
+    # the invariant factors, taken from the facet generators in Z^n, equal
+    # those of their hyperplane coordinates and sympy's, on seeded rank 2-4
+    # inputs that include dependent facet generators and nontrivial factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(1717)
+    inputs = [random_raw_generators(rng, rank) for rank in (2, 3, 4) for _ in range(12)]
+    inputs += [random_signed_generators(rng, rank, 2) for rank in (2, 3, 4) for _ in range(12)]
+    dependent = nontrivial = 0
+    for raws in inputs:
+        S = build(raws)
         for fd in all_facet_data(S):
-            assert all(d >= 1 for d in fd.invariant_factors)
             assert all(dot(fd.support_form, g) == 0 for g in fd.facet_gens)
+            assert len(fd.invariant_factors) == S.dim - 1
+            assert fd.invariant_factors == smith_normal_form(fd.coord_matrix)
+            ref = invariant_factors(sympy.Matrix(fd.facet_gens), domain=sympy.ZZ)
+            assert fd.invariant_factors == tuple(int(d) for d in ref if d)
+            dependent += len(fd.facet_gens) > S.dim - 1
+            nontrivial += max(fd.invariant_factors) > 1
+    assert dependent and nontrivial
+
+
+def test_pipeline_builds_no_hyperplane_basis(monkeypatch, d3, index2):
+    # no pipeline step reads coord_matrix, so none builds a hyperplane
+    # basis; coord_matrix builds one on its first read and keeps the result
+    def refuse(u):
+        raise AssertionError(f"hyperplane basis of {u} built")
+
+    monkeypatch.setattr(semigroups, "hyperplane_basis", refuse)
+    built_facets = []
+    for raws in (d3.raw_generators, D4_GENS, index2.raw_generators):
+        S = build(raws)
+        saturation_residues(S)
+        facets = all_facet_data(S)
+        n_q(S, facets)
+        cert = find_gamma(S)
+        empirical_hsl(S, cert, facets, 2, 2, 3, 10 * cert.m_q)
+        built_facets += facets
+    monkeypatch.undo()
+    built = []
+    real = semigroups.hyperplane_basis
+
+    def counting(u):
+        built.append(u)
+        return real(u)
+
+    monkeypatch.setattr(semigroups, "hyperplane_basis", counting)
+    for fd in built_facets:
+        first = fd.coord_matrix
+        assert fd.coord_matrix is first
+        assert len(first) == len(fd.facet_gens)
+    assert built == [fd.support_form for fd in built_facets]
