@@ -12,14 +12,13 @@ No rank or sign question here needs a normal form.  The double
 description keeps a candidate ray iff no other candidate's zero set
 strictly contains its own, and each candidate's zero set is derived from
 its parents' zero sets rather than from dot products; a generator spans
-an extreme ray by the same test on the generators' zero sets.  A ridge
-normal of the triangulation is the vector of signed maximal minors of
-its rays, and its product with the ray coned over it is the new
-simplex's determinant; ranks come from fraction-free elimination
-(intlinalg.matrix_rank).  A parallelepiped takes its adjugate and
-determinant from one elimination pass (intlinalg.adjugate_det), and it
-reads only the diagonal of the rays' Hermite form: the sides of the box
-it walks.
+an extreme ray by the same test on the generators' zero sets.  Ranks
+come from fraction-free elimination (intlinalg.matrix_rank).  A simplex
+of the triangulation and a parallelepiped each take adjugate and
+determinant from one elimination pass (intlinalg.adjugate_det): the
+columns of a simplex's adjugate are the normals of its ridges, and a
+parallelepiped reads only the diagonal of the rays' Hermite form besides,
+the sides of the box it walks.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     adjugate_det,
-    det,
     dot,
     hermite_normal_form,
     matrix,
@@ -284,67 +282,55 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
 
     Rays are inserted in their stored order; each new ray, being extreme,
     lies strictly outside the cone built so far, and is coned over the
-    boundary facets it sees.  A ridge's normal is its vector of signed
-    maximal minors (_ridge_normal), computed once per ridge per call and
-    oriented toward the opposite ray; its product with the new ray is
-    minus the new simplex's |det| when the ray sees the ridge, so only
-    the first simplex takes a determinant.  Subcones use extreme rays
-    only, cover the cone, and have pairwise disjoint interiors.
+    boundary ridges it sees.  Every simplex keeps the normals of its
+    ridges, read off the adjugate of its ray matrix (_simplex), so a ray
+    sees a boundary ridge iff its product with that ridge's normal is
+    negative, and no ridge takes a determinant of its own.  Subcones use
+    extreme rays only, cover the cone, and have pairwise disjoint
+    interiors.
     """
     if not cone.extreme_ray_reps:
         raise ValueError("triangulation needs a pointed cone")
     rays = cone.extreme_rays
     n = cone.dim
-    m = len(rays)
-    if n == 1:
-        return (SimplicialSubcone((0,), abs(rays[0][0])),)
     base = []
-    for k in range(m):
+    for k in range(len(rays)):
         if matrix_rank([rays[i] for i in base] + [rays[k]]) > len(base):
             base.append(k)
         if len(base) == n:
             break
     if len(base) < n:
         raise ValueError("cone is not full-dimensional")
-    base = tuple(sorted(base))
-    d = abs(det(matrix([rays[i] for i in base])))
-    if d == 0:
-        raise AssertionError(f"triangulation produced a degenerate simplex {base}")
-    simplices = [SimplicialSubcone(base, d)]
-    base_set = set(base)
-    normals: dict[tuple[int, ...], IntVector] = {}
-    for k in range(m):
-        if k in base_set:
+    simplices = [_simplex(tuple(sorted(base)), rays)]
+    for k in range(len(rays)):
+        if k in base:
             continue
-        owners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for sub in simplices:
+        owners: dict[tuple[int, ...], list[IntVector]] = {}
+        for sub, normals in simplices:
             S = sub.ray_indices
-            for drop in S:
-                F = tuple(i for i in S if i != drop)
-                owners.setdefault(F, []).append(S)
+            for j, normal in enumerate(normals):
+                owners.setdefault(S[:j] + S[j + 1 :], []).append(normal)
         for F, owning in owners.items():
-            if len(owning) != 1:
-                continue
-            normal = normals.get(F)
-            if normal is None:
-                normal = normals[F] = _ridge_normal([rays[i] for i in F])
-            opp = next(i for i in owning[0] if i not in F)
-            if dot(normal, rays[opp]) < 0:
-                normal = vec_neg(normal)
-            d = -dot(normal, rays[k])
-            if d > 0:
-                simplices.append(SimplicialSubcone(tuple(sorted(F + (k,))), d))
-    return tuple(simplices)
+            if len(owning) == 1 and dot(owning[0], rays[k]) < 0:
+                simplices.append(_simplex(tuple(sorted(F + (k,))), rays))
+    return tuple(sub for sub, _ in simplices)
 
 
-def _ridge_normal(R) -> IntVector:
-    """Signed maximal minors N of the (n-1) x n matrix R, so that
-    N . x == det(R with x appended as the last row); nonzero and normal to
-    the rows of R when they are independent."""
-    n = len(R) + 1
-    return tuple(
-        (-1) ** (n - 1 + j) * det(tuple(r[:j] + r[j + 1 :] for r in R)) for j in range(n)
-    )
+def _simplex(S, rays) -> tuple[SimplicialSubcone, IntMatrix]:
+    """The subcone on the rays S, and the normals of its ridges.
+
+    With M the matrix whose rows are those rays, M @ adj(M) == det(M) * I,
+    so column j of sign(det) * adj(M) vanishes on every ray of S but
+    S[j] and is positive on that one: it is the normal of the ridge
+    opposite S[j], oriented toward it.  Its product with x is sign(det)
+    times det(M with x in row j).
+    """
+    try:
+        adj, d = adjugate_det(tuple(rays[i] for i in S))
+    except ValueError:
+        raise AssertionError(f"triangulation produced a degenerate simplex {S}") from None
+    normals = transpose(adj if d > 0 else tuple(map(vec_neg, adj)))
+    return SimplicialSubcone(S, abs(d)), normals
 
 
 def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, ...]:

@@ -87,52 +87,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _bareiss(M: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) row echelon form of M, in place.
-
-    Returns (rank, sign, pivot): the row swaps make the sign, and the last
-    pivot is a maximal nonvanishing minor of the row-permuted M.  A column
-    with no nonzero entry from the current row down is skipped.  Every
-    entry after step k is a (k+1)-minor of M (Sylvester's identity), so
-    each division by the previous pivot is exact.  Only the columns right
-    of a pivot are updated; the ones left of it are never read again.
-    """
-    m = len(M)
-    r, sign, prev = 0, 1, 1
-    for c in range(len(M[0]) if M else 0):
-        top = M[r]
-        p = top[c]
-        if not p:
-            pivot = next((i for i in range(r + 1, m) if M[i][c]), None)
-            if pivot is None:
-                continue
-            top, M[pivot] = M[pivot], top
-            M[r] = top
-            p = top[c]
-            sign = -sign
-        r += 1
-        if r == m:
-            return r, sign, p
-        for i in range(r, m):
-            row = M[i]
-            a = row[c]
-            for j in range(c + 1, len(top)):
-                row[j] = (row[j] * p - a * top[j]) // prev
-        prev = p
-    return r, sign, prev
-
-
-def det(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in A):
-        raise ValueError("determinant needs a square matrix")
-    rank, sign, pivot = _bareiss([list(r) for r in A])
-    return sign * pivot if rank == n else 0
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -186,11 +140,33 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def matrix_rank(A) -> int:
-    """Rank of A, by fraction-free (Bareiss) elimination; no normal form."""
-    rows = matrix(A)
-    if not rows:
-        return 0
-    return _bareiss([list(r) for r in rows])[0]
+    """Rank of A, by fraction-free (Bareiss) elimination; no normal form.
+
+    A column with no nonzero entry from the current row down is skipped.
+    Every entry after step k is a (k+1)-minor of the row-permuted A
+    (Sylvester's identity), so each division by the previous pivot is
+    exact.  Only the columns right of a pivot are updated; the ones left
+    of it are never read again.
+    """
+    M = [list(r) for r in matrix(A)]
+    m = len(M)
+    r, prev = 0, 1
+    for c in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(r, m) if M[i][c]), None)
+        if pivot is None:
+            continue
+        top = M[pivot]
+        M[r], M[pivot] = top, M[r]
+        p = top[c]
+        r += 1
+        if r == m:
+            break
+        for row in M[r:]:
+            a = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -262,52 +238,16 @@ def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
 def hyperplane_basis(u) -> IntMatrix:
     """The row Hermite basis of the lattice {x : u . x == 0}, u primitive.
 
-    Read off u without a normal form.  Let l be the last nonzero index of
-    u.  Each j > l, and each j < l with u_j == 0, gets the row e_j.  Any
-    other j < l gets the pivot h_j = g / gcd(u_j, g), where g is the gcd
-    of u_{j+1}, ..., u_{n-1}: the least x_j > 0 that some tail completes
-    to a kernel vector.  The tail comes from a Bezout vector of that gcd,
-    built by an xgcd chain from the right.  The entries above each pivot
-    are then reduced into [0, pivot), which makes the basis the unique
-    Hermite one.  Raises ValueError on a zero or non-primitive u.
+    The rows (u_j, e_j) span the lattice of all (u . x, x).  Their Hermite
+    form starts with the row (gcd(u), ...) = (1, ...), and every other row
+    is some (0, x) with u . x == 0, so the x parts are the unique Hermite
+    basis of the kernel.  Raises ValueError on a zero or non-primitive u.
     """
     u = vector(u)
     if math.gcd(*u) != 1:
         raise ValueError(f"{u} is not a primitive form")
-    n = len(u)
-    last = max(j for j, e in enumerate(u) if e)
-    # bezout is zero left of the suffix u_{j+1}, ..., u_{n-1}, and
-    # u . bezout == g, the gcd of that suffix
-    g = abs(u[last])
-    bezout = [0] * n
-    bezout[last] = 1 if u[last] > 0 else -1
-    rows = []
-    for j in range(last - 1, -1, -1):
-        uj = u[j]
-        if uj:
-            h = g // math.gcd(uj, g)
-            q = -h * uj // g  # exact: g divides h * u_j
-            row = [q * e for e in bezout]
-            row[j] = h
-            g, a, b = xgcd(uj, g)
-            bezout = [b * e for e in bezout]
-            bezout[j] = a
-        else:
-            row = [0] * n
-            row[j] = 1
-        rows.append(row)
-    rows.reverse()
-    for j in range(last + 1, n):
-        row = [0] * n
-        row[j] = 1
-        rows.append(row)
-    pivots = [j for j in range(n) if j != last]
-    for i, row in enumerate(rows):
-        for lower, col in zip(rows[i + 1 :], pivots[i + 1 :]):
-            q = row[col] // lower[col]
-            if q:
-                row[:] = [s - q * t for s, t in zip(row, lower)]
-    return tuple(map(tuple, rows))
+    H, _ = hermite_normal_form([(e,) + row for e, row in zip(u, identity_matrix(len(u)))])
+    return tuple(row[1:] for row in H[1:])
 
 
 def solve_in_hermite_basis(H, target) -> IntVector | None:

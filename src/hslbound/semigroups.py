@@ -384,8 +384,8 @@ class FacetData:
     facet and strictly inside every other facet's half-space.
 
     coord_matrix expresses the facet generators in the Hermite basis of H,
-    read off u without a normal form (intlinalg.hyperplane_basis); its
-    invariant factors are the same.  No pipeline step reads it, so it is
+    read off the Hermite form of the rows (u_j, e_j)
+    (intlinalg.hyperplane_basis); its invariant factors are the same.  No pipeline step reads it, so it is
     built on first read and kept.  The Hermite form (H, U) of facet_gens,
     which facet_witness_combo solves against, is likewise built on the
     first solve and kept, as AffineSemigroup._apery is.

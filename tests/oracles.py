@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: bounded enumeration, exact rational
 elimination, subset search.  None of it shares code paths with the library
-routines it checks.  The reference chain of the window sweep and
-`decompose` are plain per-call versions of what the library does in bulk,
-or no longer does at all; so are `kernel_basis` and the cofactor
-`adjugate`, which the library replaced by `hyperplane_basis` and
-`adjugate_det`.  `smith_boundary_order` is the p-adic reading of a
-boundary degree's Frobenius order off a Smith decomposition taken from
-sympy, which the library replaced by zero_class's lattice test at every
-level.  The matrix products and `sat_member` are here because only the
-tests read them.
+routines it checks, except `kernel_basis`: it reads the kernel off the
+library's Hermite form, as `hyperplane_basis` does, so only brute-force
+kernel vectors check the two independently.  The reference chain of the
+window sweep and `decompose` are plain per-call versions of what the
+library does in bulk, or no longer does at all; so is the cofactor
+`adjugate`, which the library replaced by `adjugate_det`.
+`smith_boundary_order` is the p-adic reading of a boundary degree's
+Frobenius order off a Smith decomposition taken from sympy, which the
+library replaced by zero_class's lattice test at every level.  The
+matrix products, the Bareiss `det` and `sat_member` are here because
+only the tests read them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from operator import mul
 from hslbound.cohomology import zero_class
 from hslbound.cones import sign_vector
 from hslbound.intlinalg import (
-    det,
     dot,
     hermite_normal_form,
     matrix,
@@ -53,12 +54,45 @@ def sat_member(S, v):
     return min(sign_vector(S.cone, v)) >= 0
 
 
+def det(A):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Every entry after step k is a (k+1)-minor of the row-permuted A
+    (Sylvester's identity), so each division by the previous pivot is
+    exact, and the last pivot is the determinant up to the sign of the
+    row swaps.  A column with no pivot left makes A singular.
+    """
+    n = len(A)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in A):
+        raise ValueError("determinant needs a square matrix")
+    M = [list(r) for r in A]
+    sign, prev = 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if M[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            sign = -sign
+        top = M[c]
+        p = top[c]
+        for row in M[c + 1 :]:
+            a = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return sign * prev
+
+
 def kernel_basis(A):
     """Basis of the integer kernel {x : A @ x == 0}, Hermite-canonicalized.
 
     Two Hermite forms: the rows of U that clear A^T span the kernel, and
     the second form makes that basis canonical.  The reference for
-    intlinalg.hyperplane_basis on one-row A.
+    intlinalg.hyperplane_basis on one-row A, which takes one Hermite form
+    of [A^T | I] instead; both rest on hermite_normal_form.
     """
     A = matrix(A)
     if not A:

@@ -12,12 +12,13 @@ from itertools import product
 
 from hslbound.cohomology import empirical_hsl, frobenius_orbit, hsl_exact_dim1, theoretical_bound, zero_class
 from hslbound.cones import Cone, is_pointed, parallelepiped_points, support_forms, triangulate
-from hslbound.intlinalg import det, dot, hermite_normal_form, smith_normal_form, vec_add, vec_scale
+from hslbound.intlinalg import dot, hermite_normal_form, smith_normal_form, vec_add, vec_scale
 from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, verify_gamma
 from oracles import (
     brute_min_power_in_numerical,
     brute_zero_class,
     decompose,
+    det,
     mat_mul,
     random_int_matrix,
     sat_member,

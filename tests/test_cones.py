@@ -13,7 +13,6 @@ from hslbound.cones import (
     triangulate,
 )
 from hslbound.intlinalg import (
-    det,
     dot,
     hermite_normal_form,
     matrix,
@@ -28,6 +27,7 @@ from oracles import (
     brute_parallelepiped,
     brute_support_forms,
     decompose,
+    det,
     fraction_rank,
     random_int_matrix,
     random_raw_generators,
@@ -194,6 +194,7 @@ def barycentric(c, sub, v):
 
 
 def test_triangulation_covers_and_is_disjoint():
+    sympy = pytest.importorskip("sympy")
     cones = [
         wedge_cone(),
         Cone.from_generators(((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), 3),
@@ -212,7 +213,9 @@ def test_triangulation_covers_and_is_disjoint():
         # the parallelepipeds hold det-many points each
         points = 0
         for s in subs:
-            points += len(parallelepiped_points(s, [c.extreme_rays[i] for i in s.ray_indices]))
+            rays = [c.extreme_rays[i] for i in s.ray_indices]
+            assert s.determinant == abs(sympy.Matrix(rays).det()), (c.generators, s)
+            points += len(parallelepiped_points(s, rays))
         assert points == sum(s.determinant for s in subs)
         for v in cone_points_in_box(c, 4 if c.dim < 4 else 2):
             inside = [s for s in subs if all(f >= 0 for f in barycentric(c, s, v))]

@@ -5,7 +5,6 @@ import pytest
 
 from hslbound.intlinalg import (
     adjugate_det,
-    det,
     hermite_normal_form,
     hyperplane_basis,
     identity_matrix,
@@ -24,6 +23,7 @@ from oracles import (
     adjugate,
     brute_kernel_vectors,
     brute_row_lattice,
+    det,
     kernel_basis,
     mat_mul,
     random_int_matrix,
@@ -220,18 +220,26 @@ def test_kernel_examples():
 
 
 def test_kernel_spans_brute_solutions():
+    # kernel_basis and hyperplane_basis both read a Hermite form, so only
+    # brute force checks them independently
     rng = random.Random(3)
+    hyperplanes = 0
     for _ in range(100):
         m = rng.randint(1, 3)
         n = rng.randint(1, 4)
         A = random_int_matrix(rng, m, n, -4, 4)
-        basis = kernel_basis(A)
-        for b in basis:
-            assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
-        assert len(basis) == n - matrix_rank(A)
-        # the basis is Hermite-canonical, so back-substitution solves on it
-        for x in brute_kernel_vectors(A, 2):
-            assert solve_in_hermite_basis(basis, x) is not None
+        bases = [kernel_basis(A)]
+        if m == 1 and math.gcd(*A[0]) == 1:
+            bases.append(hyperplane_basis(A[0]))
+            hyperplanes += 1
+        for basis in bases:
+            for b in basis:
+                assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
+            assert len(basis) == n - matrix_rank(A)
+            # the basis is Hermite-canonical, so back-substitution solves on it
+            for x in brute_kernel_vectors(A, 2):
+                assert solve_in_hermite_basis(basis, x) is not None
+    assert hyperplanes > 10
 
 
 def test_hyperplane_basis_matches_kernel_basis():
