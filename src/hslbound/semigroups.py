@@ -71,7 +71,12 @@ class _AperyTable:
         self._heap = [(0, zero)]
 
     def contains(self, c: IntVector) -> bool:
-        """c, a form vector with every entry >= 0, is in the semigroup."""
+        """c is in the semigroup.
+
+        Precondition: c is the form vector of a point of the cone, so
+        every entry is >= 0.  It is not checked here; vectors that may
+        leave the cone go through _contains, which rejects them first.
+        """
         level = sum(c)
         least = self._least
         heap = self._heap
@@ -88,7 +93,7 @@ class _AperyTable:
                     least[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
         t = c[self._i] // ei
-        d = least.get(vec_sub(c, vec_scale(self._e, t)) if t else c)
+        d = least.get(tuple([a - t * b for a, b in zip(c, self._e)]) if t else c)
         return d is not None and d <= level
 
 
@@ -101,9 +106,11 @@ class AffineSemigroup:
     of a point's support-form vector (u_1(v), ..., u_m(v)); the cone is
     pointed and full-dimensional, so its forms span the dual space and
     v -> u(v) is injective on M: each vector names exactly one point.
-    The memo caches one answer per vector asked inside the cone, in
-    front of the Apéry table along the generator of least grading, which
-    grows only up to the largest grading asked.
+    The answers come from the Apéry table along the generator of least
+    grading, which grows only up to the largest grading asked.  _memo
+    caches one answer per vector that member, express or the window
+    sweep ask inside the cone; the gamma search asks the table directly
+    and caches nothing.
     """
 
     raw_generators: IntMatrix
@@ -161,7 +168,9 @@ def _contains(S: AffineSemigroup, c: IntVector) -> bool:
     A point with a negative entry is outside the cone.  Any other is
     looked up in the Apéry table: it belongs iff its line c + Z·u(e) is
     reached and its grading sum(c) is at least the line's least grading.
-    Answers are cached in S._memo.
+    Answers are cached in S._memo.  member, express, the window sweep and
+    verify_gamma's own gamma ask here, as their vectors may leave the
+    cone; the gamma search's residue tests ask the table directly (_valid).
     """
     memo = S._memo
     cached = memo.get(c)
@@ -280,17 +289,19 @@ def _ordered_residues(S: AffineSemigroup) -> list[IntVector]:
 
 
 def _valid(S, values, residue_values: list) -> bool:
-    """gamma and gamma + rho lie in the semigroup for every residue rho,
-    all given by their support-form vectors.
+    """gamma + rho lies in the semigroup for every residue rho, all given
+    by their support-form vectors; gamma itself must be in the semigroup.
 
-    Stops at the first residue that fails and moves it to the front of
-    residue_values, so a caller passing the same list again tests it
-    first.  Validity is a conjunction, so the order changes no answer.
+    Each test asks the Apéry table directly, with no answer cached: gamma
+    and rho are points of the cone, so every entry of their sum is >= 0,
+    as the table requires.  Stops at the first residue that fails and
+    moves it to the front of residue_values, so a caller passing the same
+    list again tests it first.  Validity is a conjunction, so the order
+    changes no answer.
     """
-    if not _contains(S, values):
-        return False
+    contains = S._apery.contains
     for k, r in enumerate(residue_values):
-        if not _contains(S, tuple(map(add, values, r))):
+        if not contains(tuple(map(add, values, r))):
             if k:
                 residue_values.insert(0, residue_values.pop(k))
             return False
@@ -309,12 +320,15 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     Checking the finitely many residues suffices: any saturation point s
     splits as q + rho with q in the semigroup, so gamma + s =
     (gamma + rho) + q.  Conversely each rho is itself a saturation point.
+    gamma is arbitrary, so its own membership is asked first, through
+    _contains: a vector with a negative form value fails there, before
+    _valid's table lookups, which need every entry >= 0.
     """
     gamma = tuple(int(e) for e in gamma)
     values = sign_vector(S.cone, gamma)
     residues = _ordered_residues(S)
     residue_values = [sign_vector(S.cone, rho) for rho in residues]
-    if not _valid(S, values, residue_values):
+    if not _contains(S, values) or not _valid(S, values, residue_values):
         return None
     return _certify(S, gamma, values, residues)
 
@@ -328,11 +342,13 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     generator, so a generator step strictly raises the key: candidates pop
     in key order, and the first one that passes (gamma + rho in the
     semigroup for every residue rho) is optimal.  Each candidate carries
-    its support-form vector, the sum of its generators' vectors, and is
-    tested on it and on that vector plus each residue's against the
-    Apéry table, the residue that failed last first (a candidate near a
-    rejected one tends to fail on the same residue); witnesses are built
-    for the winner alone, residues in canonical order.
+    its support-form vector, the sum of its generators' vectors.  A
+    generator sum is in the semigroup by construction, so only that
+    vector plus each residue's is tested, by _valid straight on the Apéry
+    table, the residue that failed last first (a candidate near a
+    rejected one tends to fail on the same residue).  The search caches
+    no answers; witnesses are built for the winner alone, by express,
+    residues in canonical order.
 
     budget is the number of candidates popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level

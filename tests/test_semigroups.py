@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from hslbound.cones import sign_vector
 from hslbound.errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from hslbound import semigroups
 from hslbound.intlinalg import (
@@ -233,6 +234,18 @@ def test_verify_gamma_numerical(ns35):
     assert verify_gamma(ns35, (6,)) is None
 
 
+def test_verify_gamma_rejects_points_outside_the_cone(monkeypatch, wedge, ns35):
+    # the Apéry table assumes every form value is >= 0, so a gamma with a
+    # negative one must fail on its own membership, before any table lookup
+    def refuse(table, c):
+        raise AssertionError(f"table asked {c}")
+
+    monkeypatch.setattr(semigroups._AperyTable, "contains", refuse)
+    assert min(sign_vector(wedge.cone, (-1, 0))) < 0
+    assert verify_gamma(wedge, (-1, 0)) is None
+    assert verify_gamma(ns35, (-3,)) is None
+
+
 def test_gamma_random_saturation_samples(wedge):
     # 200 random saturation points: gamma + s must land in the semigroup
     cert = verify_gamma(wedge, (14, 9))
@@ -321,6 +334,45 @@ def test_find_gamma_w13_optimal_at_default_budget():
     cert = find_gamma(S)
     assert cert.m_q == 1573 and cert.gamma == (142, 131)
     assert cert.recheck(S)
+    # a budget one short of it runs out at grading level 3123
+    assert find_gamma(build(wedge_gens(13)), budget=4433) == cert
+    with pytest.raises(BudgetExhaustedError) as info:
+        find_gamma(build(wedge_gens(13)), budget=4432)
+    assert info.value.examined == 4432 and info.value.max_level == 3123
+
+
+def test_find_gamma_caches_no_answers(monkeypatch):
+    # the search asks the Apéry table directly, one lookup per residue
+    # tried (571 on W_7, a count that moves with the candidate or residue
+    # order); only the winner's witnesses (express) go through _contains
+    # and its cache, and _certify is stubbed out here
+    S = build(wedge_gens(17))
+    with pytest.raises(BudgetExhaustedError) as info:
+        find_gamma(S)
+    assert info.value.examined == 10000 and S._memo == {}
+    calls = Counter()
+    table_contains = semigroups._AperyTable.contains
+    contains = semigroups._contains
+
+    def counting_table(table, c):
+        calls["table"] += 1
+        return table_contains(table, c)
+
+    def counting(S, c):
+        calls["_contains"] += 1
+        return contains(S, c)
+
+    def certify(*args):
+        calls["certified"] += 1
+        assert calls == {"table": 571, "certified": 1}, calls
+        return args
+
+    monkeypatch.setattr(semigroups._AperyTable, "contains", counting_table)
+    monkeypatch.setattr(semigroups, "_contains", counting)
+    monkeypatch.setattr(semigroups, "_certify", certify)
+    S = build(wedge_gens(7))
+    find_gamma(S)
+    assert calls["certified"] == 1 and S._memo == {}
 
 
 def test_recheck_rejects_forged_facet_values():
