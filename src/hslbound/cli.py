@@ -2,8 +2,9 @@
 
 Input files are JSON documents with a "generators" array of integer
 arrays; unknown fields are ignored with a warning.  Output is JSON by
-default (sorted keys, so byte-identical across runs) or a plain table
-via --format table.
+default (sorted keys, so byte-identical across runs) or, for analyze and
+verify, a plain table via --format table.  A command refuses a flag it
+does not read.
 
 Exit codes: 0 success, 1 invalid input or flags, 2 input not pointed,
 3 gamma search budget exhausted, 4 verify found bound violations, 141
@@ -210,18 +211,18 @@ def cmd_dim1(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hslbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, prime=False):
-        p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine (>= 1)")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        if prime:
-            p.add_argument("--prime", type=int, required=True)
-
-    common(sub.add_parser("analyze", help="geometry, gamma, m_Q, N_Q"))
-    common(sub.add_parser("bound", help="nilpotence bound for one prime"), prime=True)
+    analyze = sub.add_parser("analyze", help="geometry, gamma, m_Q, N_Q")
+    bound = sub.add_parser("bound", help="nilpotence bound for one prime")
     verify = sub.add_parser("verify", help="window sweep against the bound")
-    common(verify, prime=True)
+    dim1 = sub.add_parser("dim1", help="exact answer for rank-1 input")
+    for p in (analyze, bound, verify, dim1):
+        p.add_argument("--input", required=True, help="JSON input file")
+    for p in (bound, verify, dim1):
+        p.add_argument("--prime", type=int, required=True)
+    for p in (analyze, bound, verify):
+        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine (>= 1)")
+    for p in (analyze, verify):
+        p.add_argument("--format", choices=("json", "table"), default="json")
     verify.add_argument(
         "--window",
         type=int,
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--emax", type=int, default=None, help="largest Frobenius power (>= 0)")
     verify.add_argument("--cap", type=int, default=None, help="witness search cap (>= 0)")
-    common(sub.add_parser("dim1", help="exact answer for rank-1 input"), prime=True)
     return parser
 
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            if args.budget < 1:  # every subcommand takes --budget
+            if "budget" in args and args.budget < 1:
                 raise InputError("--budget must be at least 1")
             code = handlers[args.command](args)
         except SystemExit as exc:

@@ -143,6 +143,15 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
     return None
 
 
+# Resource limits.  A sweep's box holds at most MAX_WINDOW_DEGREES
+# degrees.  The capped search lists at most FACET_ELEMENT_LIMIT facet
+# elements per (facet, cap), where the count below the cap grows like
+# cap^(rank - 1), and a search that reaches the limit is truncated, so
+# its verdict is unknown.  The cache keeps FACET_ELEMENT_CACHE lists, at
+# worst 64 * 10^4 elements: a full list on D3 (rank 3, five facets)
+# takes about 3 MiB, 64 of them about 200 MiB.
+MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
+FACET_ELEMENT_LIMIT = 10**4  # elements one _facet_elements entry lists at most
 FACET_ELEMENT_CACHE = 64  # (facet, cap) entries _facet_elements keeps
 
 
@@ -151,13 +160,14 @@ def _facet_elements(facet_gens, gen_forms, grading, cap):
     """Nonzero facet semigroup elements with grading value <= cap, by level.
 
     gen_forms are the support-form vectors of facet_gens.  Returns
-    (element, coefficients, form vector) triples in search order.
+    (element, coefficients, form vector) triples in search order, at
+    most FACET_ELEMENT_LIMIT of them.
     """
     zero = (0,) * len(grading)
     heap = [(0, zero, (0,) * len(facet_gens), (0,) * len(gen_forms[0]))]
     seen = {zero}
     out = []
-    while heap:
+    while heap and len(out) <= FACET_ELEMENT_LIMIT:
         lv, w, coeffs, forms = heapq.heappop(heap)
         out.append((w, coeffs, forms))
         for j, (g, gf) in enumerate(zip(facet_gens, gen_forms)):
@@ -199,12 +209,13 @@ def zero_class(
     * some u_i(v) > 0: if u_i(v) >= u_i(gamma) for some facet i, scale
       that facet's interior element until every other form clears its
       gamma value; then v + w sits in gamma + saturation, hence in the
-      semigroup.  Otherwise search facet elements up to the cap and
-      answer Unknown when the search is truncated.  The search works on
-      form vectors: u(v + w) = signs + u(w), so a candidate with a
-      negative entry is outside the cone and skipped, one with every
-      entry >= u(gamma) lies in gamma + saturation, and any other is
-      decided by the membership oracle.
+      semigroup.  Otherwise search facet elements up to the cap, at
+      most FACET_ELEMENT_LIMIT per facet, and answer Unknown when the
+      search is truncated.  The search works on form vectors:
+      u(v + w) = signs + u(w), so a candidate with a negative entry is
+      outside the cone and skipped, one with every entry >= u(gamma)
+      lies in gamma + saturation, and any other is decided by the
+      membership oracle.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -289,9 +300,6 @@ class OrbitReport:
     statuses: tuple[ZeroClassResult, ...]
     kind: str
     order: int | None
-
-
-MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
 
 
 def check_window(window: int, rank: int) -> None:

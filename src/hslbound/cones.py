@@ -14,16 +14,15 @@ strictly contains its own, and each candidate's zero set is derived from
 its parents' zero sets rather than from dot products; a generator spans
 an extreme ray by the same test on the generators' zero sets.  Ranks
 come from fraction-free elimination (intlinalg.matrix_rank).  A simplex
-of the triangulation and a parallelepiped each take adjugate and
-determinant from one elimination pass (intlinalg.adjugate_det): the
-columns of a simplex's adjugate are the normals of its ridges, and a
-parallelepiped reads only the diagonal of the rays' Hermite form besides,
-the sides of the box it walks.
+of the triangulation takes adjugate and determinant from one elimination
+pass (intlinalg.adjugate_det) and keeps the adjugate's columns, the
+normals of its ridges, for its parallelepiped, which reads only the
+diagonal of the rays' Hermite form besides, the sides of the box it walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mul
 
 from .intlinalg import (
@@ -48,11 +47,15 @@ class SimplicialSubcone:
 
     ray_indices index into the parent cone's extreme_ray_reps; determinant
     is |det| of the chosen ray generators, which is also the lattice point
-    count of the half-open fundamental parallelepiped.
+    count of the half-open fundamental parallelepiped.  rays are those
+    generators in ray_indices order; normals[j], the normal of the ridge
+    opposite rays[j], has normals[j] . rays[k] == determinant * (j == k).
     """
 
     ray_indices: tuple[int, ...]
     determinant: int
+    rays: IntMatrix = field(repr=False, compare=False)
+    normals: IntMatrix = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -283,11 +286,10 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     Rays are inserted in their stored order; each new ray, being extreme,
     lies strictly outside the cone built so far, and is coned over the
     boundary ridges it sees.  Every simplex keeps the normals of its
-    ridges, read off the adjugate of its ray matrix (_simplex), so a ray
-    sees a boundary ridge iff its product with that ridge's normal is
-    negative, and no ridge takes a determinant of its own.  Subcones use
-    extreme rays only, cover the cone, and have pairwise disjoint
-    interiors.
+    ridges (_simplex), so a ray sees a boundary ridge iff its product
+    with that ridge's normal is negative, and no ridge takes a
+    determinant of its own.  Subcones use extreme rays only, cover the
+    cone, and have pairwise disjoint interiors.
     """
     if not cone.extreme_ray_reps:
         raise ValueError("triangulation needs a pointed cone")
@@ -306,18 +308,18 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
         if k in base:
             continue
         owners: dict[tuple[int, ...], list[IntVector]] = {}
-        for sub, normals in simplices:
+        for sub in simplices:
             S = sub.ray_indices
-            for j, normal in enumerate(normals):
+            for j, normal in enumerate(sub.normals):
                 owners.setdefault(S[:j] + S[j + 1 :], []).append(normal)
         for F, owning in owners.items():
             if len(owning) == 1 and dot(owning[0], rays[k]) < 0:
                 simplices.append(_simplex(tuple(sorted(F + (k,))), rays))
-    return tuple(sub for sub, _ in simplices)
+    return tuple(simplices)
 
 
-def _simplex(S, rays) -> tuple[SimplicialSubcone, IntMatrix]:
-    """The subcone on the rays S, and the normals of its ridges.
+def _simplex(S, rays) -> SimplicialSubcone:
+    """The subcone on the rays S, with the normals of its ridges.
 
     With M the matrix whose rows are those rays, M @ adj(M) == det(M) * I,
     so column j of sign(det) * adj(M) vanishes on every ray of S but
@@ -325,35 +327,32 @@ def _simplex(S, rays) -> tuple[SimplicialSubcone, IntMatrix]:
     opposite S[j], oriented toward it.  Its product with x is sign(det)
     times det(M with x in row j).
     """
+    chosen = tuple(rays[i] for i in S)
     try:
-        adj, d = adjugate_det(tuple(rays[i] for i in S))
+        adj, d = adjugate_det(chosen)
     except ValueError:
         raise AssertionError(f"triangulation produced a degenerate simplex {S}") from None
     normals = transpose(adj if d > 0 else tuple(map(vec_neg, adj)))
-    return SimplicialSubcone(S, abs(d)), normals
+    return SimplicialSubcone(S, abs(d), chosen, normals)
 
 
-def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, ...]:
-    """Lattice points sum(mu_k * r_k) with 0 <= mu_k < 1, sorted.
+def parallelepiped_points(sub: SimplicialSubcone) -> tuple[IntVector, ...]:
+    """Lattice points sum(mu_k * r_k) of the rays r_k, 0 <= mu_k < 1, sorted.
 
     The box 0 <= x_i < H[i][i] under the diagonal of the row Hermite form
     H of the rays holds one point of each class of Z^n modulo the ray
     lattice.  Each x is wrapped into the half-open parallelepiped as
-    x - R @ floor(mu), where mu = adj(R) @ x / det(R), and adj(R) and
-    det(R) come from one elimination pass (adjugate_det).  The box is
-    walked like an odometer, with y = |det| * mu kept modulo |det| next
-    to the current point: a step of x adds a fixed vector to the point
-    and a fixed vector to y, and each y_j that wraps past |det| takes
-    ray j off the point once more, so no point costs a matrix product.
-    The count equals the determinant, and its distinct points are
-    checked against it.
+    x - sum(floor(mu_k) * r_k), where |det| * mu_k = normals[k] . x, the
+    ridge normals the subcone keeps.  The box is walked like an
+    odometer, with y = |det| * mu kept modulo |det| next to the current
+    point: a step of x adds a fixed vector to the point and a fixed
+    vector to y, and each y_j that wraps past |det| takes ray j off the
+    point once more, so no point costs a matrix product.  The count
+    equals the determinant, and its distinct points are checked against
+    it.
     """
-    rays = matrix(ray_gens)
+    rays, normals, d = sub.rays, sub.normals, sub.determinant
     n = len(rays)
-    adj, d = adjugate_det(transpose(rays))  # the columns of R are the rays
-    if d < 0:
-        adj = tuple(map(vec_neg, adj))
-    d = abs(d)
     H, _ = hermite_normal_form(rays)
     top = [H[i][i] - 1 for i in range(n)]
     # steps[k] advances digit k by one and resets every later digit to 0:
@@ -363,7 +362,7 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
     for k in range(n):
         dx = [0] * k + [1] + [-t for t in top[k + 1 :]]
         shift, carry = tuple(dx), []
-        for a, r in zip(adj, rays):
+        for a, r in zip(normals, rays):
             q, rem = divmod(sum(map(mul, a, dx)), d)
             shift = vec_sub(shift, vec_scale(r, q))
             carry.append(rem)
@@ -397,8 +396,6 @@ def parallelepiped_points(sub: SimplicialSubcone, ray_gens) -> tuple[IntVector, 
         point = tuple(map(add, point, move))
         pts.append(point)
         k = n - 1
-    if len(set(pts)) != sub.determinant:
-        raise AssertionError(
-            f"{len(set(pts))} distinct parallelepiped points, determinant {sub.determinant}"
-        )
+    if len(set(pts)) != d:
+        raise AssertionError(f"{len(set(pts))} distinct parallelepiped points, determinant {d}")
     return tuple(sorted(pts))

@@ -228,10 +228,8 @@ class SaturationData:
 
 def saturation_residues(S: AffineSemigroup) -> SaturationData:
     pts = set()
-    rays = S.cone.extreme_rays
     for sub in triangulate(S.cone):
-        chosen = [rays[i] for i in sub.ray_indices]
-        pts.update(parallelepiped_points(sub, chosen))
+        pts.update(parallelepiped_points(sub))
     return SaturationData(tuple(sorted(pts)))
 
 

@@ -161,8 +161,7 @@ def test_criterion_8_property_suites():
     residues = set()
     subs = triangulate(cone)
     for sub in subs:
-        rays = [cone.extreme_rays[i] for i in sub.ray_indices]
-        residues.update(parallelepiped_points(sub, rays))
+        residues.update(parallelepiped_points(sub))
     pool = [
         v for v in product(range(-2, 40), repeat=2) if sat_member(S, v)
     ]

@@ -131,7 +131,7 @@ def test_analyze_budget_exhausted_exits_3(tmp_path, capsys):
     assert "budget" in err or "candidates" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "bound", "verify", "dim1"])
+@pytest.mark.parametrize("command", ["analyze", "bound", "verify"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_1_exits_1(tmp_path, capsys, command, budget):
     path = write_input(tmp_path, NS35)
@@ -162,6 +162,9 @@ def test_bad_flags_exit_1(tmp_path, capsys):
     path = write_input(tmp_path, NS35)
     assert run(capsys, "bound", "--input", path)[0] == 1  # missing --prime
     assert run(capsys, "nonsense")[0] == 1
+    # a flag the command does not read is an unrecognized argument
+    code, _, err = run(capsys, "dim1", "--input", path, "--prime", "2", "--budget", "5")
+    assert code == 1 and "unrecognized arguments: --budget 5" in err
 
 
 def test_bound_wedge(tmp_path, capsys):

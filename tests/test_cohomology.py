@@ -804,6 +804,40 @@ def test_orders_past_the_cap_are_exact(request):
         assert frobenius_orbit(S, cert, facets, v, p, 3, 20).order == 0, name
 
 
+def test_facet_search_stops_at_the_element_limit(request, monkeypatch):
+    # a search that reaches FACET_ELEMENT_LIMIT is truncated, as one the
+    # cap cuts is: under a limit no larger than the cap-20 lists, a huge
+    # cap lists a prefix of each and leaves the level unknown
+    limit = cohomology.FACET_ELEMENT_LIMIT
+    request.addfinalizer(cohomology._facet_elements.cache_clear)
+    huge = 10**9
+    for name, _, v, _, _ in CAPPED_UNKNOWNS:
+        S = request.getfixturevalue(name)
+        cert, facets = pipeline(S)
+
+        def listed(cap):
+            return [
+                cohomology._facet_elements(
+                    fd.facet_gens,
+                    tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices),
+                    S.grading,
+                    cap,
+                )
+                for fd in facets
+            ]
+
+        assert zero_class(S, cert, facets, v, huge).is_zero, name
+        assert {len(elements) for elements in listed(huge)} == {limit}
+        capped = listed(20)
+        monkeypatch.setattr(cohomology, "FACET_ELEMENT_LIMIT", min(map(len, capped)))
+        cohomology._facet_elements.cache_clear()
+        for short, full in zip(listed(huge), capped):
+            assert short == full[: len(short)], name
+        assert zero_class(S, cert, facets, v, huge).verdict == "unknown", name
+        monkeypatch.undo()
+        cohomology._facet_elements.cache_clear()
+
+
 @pytest.mark.parametrize(
     "name, p, window",
     [("wedge", 2, 6), ("index2", 2, 12), ("d3", 5, 6), ("d3", 2, 2), ("D4", 5, 1), ("W_7", 2, 6)],

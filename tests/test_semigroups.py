@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from hslbound import cones
 from hslbound.cones import sign_vector
 from hslbound.errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from hslbound import semigroups
@@ -216,6 +217,28 @@ def test_saturation_residues(wedge, ns35):
     assert saturation_residues(ns35).residues == ((0,), (1,), (2,))
     orthant = build(((1, 0), (0, 1)))
     assert saturation_residues(orthant).residues == ((0, 0),)
+
+
+def test_saturation_residues_take_one_adjugate_per_simplex(monkeypatch, wedge, d3):
+    # each simplex keeps the ridge normals triangulate reads off its
+    # adjugate, and its parallelepiped walk reuses them
+    calls = []
+    real = cones.adjugate_det
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    rng = random.Random(5)
+    inputs = [wedge, d3] + [build(random_raw_generators(rng, rank)) for rank in (3, 3, 4, 4)]
+    simplices = [len(cones.triangulate(S.cone)) for S in inputs]
+    monkeypatch.setattr(cones, "adjugate_det", counting)
+    made = []
+    for S in inputs:
+        calls.clear()
+        saturation_residues(S)
+        made.append(len(calls))
+    assert made == simplices and max(simplices) > 1
 
 
 def test_verify_gamma_wedge(wedge):

@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hslbound"
 
@@ -87,6 +89,43 @@ def test_perfbench_sweep_digests_hold():
         text = json.dumps(report.as_dict(), sort_keys=True)
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == workloads.SWEEP_SHA256
+
+
+def test_perfbench_ladder_digests_hold(tmp_path, capsys):
+    # the analyze-ladder workload pins the sha256 of each input's analyze
+    # stdout and its m_Q; an output change must fail here, not only in a
+    # benchmark run.  Inputs as in the workload: the demo inputs and the
+    # ladder's generator lists, written to files
+    workloads = load_perfbench("workloads")
+    cli = importlib.import_module("hslbound.cli")
+    inputs = {name: ROOT / "demos" / "inputs" / f"{name}.json" for name in workloads.DEMO_INPUTS}
+    for name, gens in workloads.LADDER.items():
+        inputs[name] = tmp_path / f"{name}.json"
+        inputs[name].write_text(json.dumps({"generators": gens}))
+    digests, m_q = {}, {}
+    for name, path in inputs.items():
+        assert cli.main(["analyze", "--input", str(path)]) == 0, name
+        out = capsys.readouterr().out
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        m_q[name] = json.loads(out)["m_q"]
+    assert digests == workloads.LADDER_SHA256
+    assert m_q == workloads.LADDER_M_Q
+
+
+def test_perfbench_random_geometry_check_holds(tmp_path):
+    # the random-geometry workload checks each subcone's residues and
+    # determinant and each facet's invariant factors on its own; a change
+    # to a subcone or facet attribute must fail here, not only in a
+    # benchmark run.  One seeded semigroup per (rank, generators) cell
+    pytest.importorskip("sympy")
+    workloads = load_perfbench("workloads")
+    geometry = load_perfbench("worker").RandomGeometry(0, 0, tmp_path)
+    geometry.items = workloads.random_semigroups(0, 0, len(workloads.GEOMETRY_CELLS))
+    geometry.results = []
+    ops = geometry.run(None)
+    geometry.check()
+    assert not geometry.failures
+    assert len(ops) == len(geometry.results) == len(geometry.items)
 
 
 def test_no_test_only_definitions():
