@@ -131,7 +131,7 @@ def test_analyze_budget_exhausted_exits_3(tmp_path, capsys):
     assert "budget" in err or "candidates" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "bound", "verify"])
+@pytest.mark.parametrize("command", ["analyze", "bound", "dim1", "verify"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_1_exits_1(tmp_path, capsys, command, budget):
     path = write_input(tmp_path, NS35)
@@ -139,7 +139,11 @@ def test_budget_below_1_exits_1(tmp_path, capsys, command, budget):
     if command != "analyze":
         argv += ["--prime", "2"]
     code, _, err = run(capsys, *argv)
-    assert code == 1 and "--budget must be at least 1" in err
+    if command == "dim1":
+        # dim1 never searches, so it takes no --budget at all
+        assert code == 1 and f"unrecognized arguments: --budget {budget}" in err
+    else:
+        assert code == 1 and "--budget must be at least 1" in err
 
 
 def test_invalid_inputs_exit_1(tmp_path, capsys):
