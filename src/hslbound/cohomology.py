@@ -48,7 +48,7 @@ from operator import add, ge
 
 from .cones import neg_region, sign_vector
 from .errors import DimensionMismatchError
-from .intlinalg import IntVector, dot, vec_add, vec_mat, vec_scale
+from .intlinalg import IntVector, dot, vec_add, vec_mat, vec_scale, vector
 from .semigroups import (
     AffineSemigroup,
     FacetData,
@@ -219,7 +219,7 @@ def zero_class(
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    v = tuple(int(e) for e in v)
+    v = vector(v)
     if signs is None:
         signs = sign_vector(S.cone, v)
     if all(s >= 0 for s in signs):
@@ -343,7 +343,7 @@ def frobenius_orbit(
     or a negative e_max or cap.
     """
     _check_limits(p, e_max=e_max, cap=cap)
-    v = tuple(int(e) for e in v)
+    v = vector(v)
     signs = sign_vector(S.cone, v)
     neg = neg_region(signs)
     outside = neg.kind == "outside_neg"

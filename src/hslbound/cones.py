@@ -9,15 +9,18 @@ matrix R are adj(R) @ x / det(R), so their signs and floors come from
 integer products and floor division, without rationals.
 
 No rank or sign question here needs a normal form.  The double
-description keeps a candidate ray iff no other candidate's zero set
-strictly contains its own, and each candidate's zero set is derived from
-its parents' zero sets rather than from dot products; a generator spans
-an extreme ray by the same test on the generators' zero sets.  Ranks
-come from fraction-free elimination (intlinalg.matrix_rank).  A simplex
-of the triangulation takes adjugate and determinant from one elimination
-pass (intlinalg.adjugate_det) and keeps the adjugate's columns, the
-normals of its ridges, for its parallelepiped, which reads only the
-diagonal of the rays' Hermite form besides, the sides of the box it walks.
+description is seeded with the dual of one simplex, the first n
+generators independent of those before them (one fraction-free
+elimination, intlinalg.independent_rows).  It keeps a candidate ray iff
+no other candidate's zero set strictly contains its own, and each
+candidate's zero set is derived from its parents' zero sets rather than
+from dot products; a generator spans an extreme ray by the same test on
+the generators' zero sets.  The triangulation starts from the first n
+independent rays.  A simplex takes adjugate and determinant from one
+elimination pass (intlinalg.adjugate_det) and keeps the adjugate's
+columns, the normals of its ridges, for its parallelepiped, which reads
+only the diagonal of the rays' Hermite form besides, the sides of the
+box it walks.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .intlinalg import (
     adjugate_det,
     dot,
     hermite_normal_form,
+    independent_rows,
     matrix,
-    matrix_rank,
     primitive,
     transpose,
     vec_neg,
@@ -70,7 +73,9 @@ class Cone:
 
     generator_forms[j] is the support-form vector (u_1(g_j), ..., u_m(g_j))
     of generator j; on a pointed cone the forms span the dual space, so
-    that vector determines the point.
+    that vector determines the point.  The cone is pointed iff the
+    grading sum(u_i) is positive on every generator: a line in the cone
+    is a sum of generators on which every form vanishes.
     """
 
     dim: int
@@ -88,7 +93,7 @@ class Cone:
         facet_sets = tuple(
             tuple(j for j, gv in enumerate(values) if gv[i] == 0) for i in range(len(forms))
         )
-        pointed = matrix_rank(forms) == dim
+        pointed = all(sum(gv) > 0 for gv in values)
         reps = _extreme_ray_reps(gens, values) if pointed else ()
         return cls(dim, gens, forms, reps, facet_sets, values)
 
@@ -137,70 +142,55 @@ def _extreme_ray_reps(gens, values):
 def support_forms(generators, n: int) -> IntMatrix:
     """Irredundant primitive inward facet normals of cone(generators).
 
-    Incremental halfspace processing (the double description method):
-    the dual of the first k generators is kept as (lineality basis, rays);
-    each new generator g_k restricts it to {u : u(g_k) >= 0}.  Every
-    candidate ray carries its zero set, the indices of the processed
-    generators it vanishes on, derived from its parents' with no dot
-    product: a ray on the positive side keeps its set, one on the
-    hyperplane, or projected along the lineality vector l0 (which
-    vanishes on every earlier generator), gains k; a combination of a
-    positive and a negative ray gets the intersection of theirs plus k;
-    and l0 itself, the new ray on the positive side, vanishes on every
-    earlier generator.  Rays are pruned to extreme ones after every step
-    by comparing zero sets (_prune_rays), so the final ray set is exactly
-    the facet normals, sorted for determinism.  The only rank computed is
-    the check that the generators span rank n.
+    Incremental halfspace processing (the double description method,
+    Fukuda-Prodon 1996), seeded with one simplex: the first n generators
+    independent of those before them (intlinalg.independent_rows) span a
+    simplicial cone, whose dual has the primitive ridge normals of
+    _simplex as its rays, each vanishing on the simplex's generators but
+    the one it faces.  Fewer than n of them means the generators do not
+    span rank n.  Every other generator g_k then restricts the dual to
+    {u : u(g_k) >= 0}.  Each candidate ray carries its zero set, the
+    indices of the processed generators it vanishes on, derived from its
+    parents' with no dot product: a ray on the positive side keeps its
+    set, one on the hyperplane gains k, and a combination of a positive
+    and a negative ray gets the intersection of theirs plus k.  Rays are
+    pruned to extreme ones after every step by comparing zero sets
+    (_prune_rays), so the final ray set is exactly the facet normals,
+    sorted for determinism.
     """
     gens = matrix(generators)
     if not gens:
         raise ValueError("no generators")
+    if len(gens[0]) != n:
+        raise ValueError(f"generators have {len(gens[0])} entries, not n = {n}")
     if any(not any(g) for g in gens):
         raise ValueError("zero generator")
-    if matrix_rank(gens) != n:
+    base = independent_rows(gens)
+    if len(base) != n:
         raise ValueError("generators do not span rank n")
-    lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[tuple[IntVector, frozenset[int]]] = []
+    rays = [
+        (primitive(normal), frozenset(base[:j] + base[j + 1 :]))
+        for j, normal in enumerate(_simplex(base, gens).normals)
+    ]
     for k, g in enumerate(gens):
+        if k in base:
+            continue
         on_g = frozenset((k,))
-        cvals = [dot(l, g) for l in lineality]
-        if any(cvals):
-            i0 = next(i for i, c in enumerate(cvals) if c)
-            l0, c0 = lineality[i0], cvals[i0]
-            if c0 < 0:
-                l0, c0 = vec_neg(l0), -c0
-            new_lin = []
-            for i, (l, c) in enumerate(zip(lineality, cvals)):
-                if i != i0:
-                    new_lin.append(primitive(vec_sub(vec_scale(l, c0), vec_scale(l0, c))))
-            # every old ray is projected along l0 onto {u(g) = 0}; l0
-            # itself carries the positive side
-            new_rays = []
-            for r, z in rays:
-                pr = vec_sub(vec_scale(r, c0), vec_scale(l0, dot(r, g)))
-                if any(pr):
-                    new_rays.append((primitive(pr), z | on_g))
-            new_rays.append((l0, frozenset(range(k))))
-            lineality = new_lin
-            rays = new_rays
-        else:
-            plus, zero, minus = [], [], []
-            for r, z in rays:
-                c = dot(r, g)
-                if c > 0:
-                    plus.append((r, z, c))
-                elif c == 0:
-                    zero.append((r, z | on_g))
-                else:
-                    minus.append((r, z, c))
-            rays = [(r, z) for r, z, _ in plus] + zero
-            for rp, zp, cp in plus:
-                for rm, zm, cm in minus:
-                    combo = primitive(vec_sub(vec_scale(rm, cp), vec_scale(rp, cm)))
-                    rays.append((combo, zp & zm | on_g))
+        plus, zero, minus = [], [], []
+        for r, z in rays:
+            c = dot(r, g)
+            if c > 0:
+                plus.append((r, z, c))
+            elif c == 0:
+                zero.append((r, z | on_g))
+            else:
+                minus.append((r, z, c))
+        rays = [(r, z) for r, z, _ in plus] + zero
+        for rp, zp, cp in plus:
+            for rm, zm, cm in minus:
+                combo = primitive(vec_sub(vec_scale(rm, cp), vec_scale(rp, cm)))
+                rays.append((combo, zp & zm | on_g))
         rays = _prune_rays(rays)
-    if lineality:
-        raise AssertionError("generators span rank n, yet the dual cone has a lineality space")
     return tuple(sorted(r for r, _ in rays))
 
 
@@ -214,8 +204,8 @@ def _prune_rays(rays):
     zero set strictly containing its own (the combinatorial test of the
     double description method, Fukuda-Prodon 1996).  This is exact
     because the candidates always include every extreme ray of the
-    current dual cone, and none lies in its lineality space, on which
-    every constraint vanishes.  The zero sets come with the candidates
+    current dual cone, which is pointed, as it lies in the dual of the
+    seed simplex.  The zero sets come with the candidates
     (support_forms derives them), so no constraint is evaluated here.
     """
     unique = dict(rays)
@@ -225,7 +215,7 @@ def _prune_rays(rays):
 
 def is_pointed(cone: Cone) -> bool:
     """True iff the cone contains no line: Cone.from_generators records
-    extreme rays only when the support forms span the dual space."""
+    extreme rays only when the grading is positive on every generator."""
     return bool(cone.extreme_ray_reps)
 
 
@@ -295,15 +285,10 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
         raise ValueError("triangulation needs a pointed cone")
     rays = cone.extreme_rays
     n = cone.dim
-    base = []
-    for k in range(len(rays)):
-        if matrix_rank([rays[i] for i in base] + [rays[k]]) > len(base):
-            base.append(k)
-        if len(base) == n:
-            break
+    base = independent_rows(rays)
     if len(base) < n:
         raise ValueError("cone is not full-dimensional")
-    simplices = [_simplex(tuple(sorted(base)), rays)]
+    simplices = [_simplex(base, rays)]
     for k in range(len(rays)):
         if k in base:
             continue

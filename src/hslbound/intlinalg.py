@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -23,7 +23,9 @@ IntMatrix = tuple[IntVector, ...]
 
 
 def vector(entries) -> IntVector:
-    return tuple(int(e) for e in entries)
+    """The entries as ints, through operator.index: a float, Fraction or
+    string raises TypeError rather than being truncated."""
+    return tuple(map(index, entries))
 
 
 def matrix(rows) -> IntMatrix:
@@ -139,22 +141,26 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
-def matrix_rank(A) -> int:
-    """Rank of A, by fraction-free (Bareiss) elimination; no normal form.
+def independent_rows(A) -> tuple[int, ...]:
+    """Indices of the rows of A independent of the rows before them.
 
-    A column with no nonzero entry from the current row down is skipped.
-    Every entry after step k is a (k+1)-minor of the row-permuted A
-    (Sylvester's identity), so each division by the previous pivot is
-    exact.  Only the columns right of a pivot are updated; the ones left
-    of it are never read again.
+    Their count is the rank of A.  Fraction-free (Bareiss) elimination
+    runs on the columns of A, so its pivot columns are exactly those rows,
+    picked greedily in order; a column with no nonzero entry from the
+    current row down is skipped.  Every entry after step k is a
+    (k+1)-minor of the row-permuted A^T (Sylvester's identity), so each
+    division by the previous pivot is exact.  Only the columns right of a
+    pivot are updated; the ones left of it are never read again.
     """
-    M = [list(r) for r in matrix(A)]
+    M = [list(r) for r in transpose(matrix(A))]
     m = len(M)
+    picked = []
     r, prev = 0, 1
     for c in range(len(M[0]) if M else 0):
         pivot = next((i for i in range(r, m) if M[i][c]), None)
         if pivot is None:
             continue
+        picked.append(c)
         top = M[pivot]
         M[r], M[pivot] = top, M[r]
         p = top[c]
@@ -166,7 +172,7 @@ def matrix_rank(A) -> int:
             for j in range(c + 1, len(top)):
                 row[j] = (row[j] * p - a * top[j]) // prev
         prev = p
-    return r
+    return tuple(picked)
 
 
 # ---------------------------------------------------------------------------

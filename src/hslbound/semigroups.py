@@ -141,9 +141,11 @@ class AffineSemigroup:
 def build(raw_generators) -> AffineSemigroup:
     """Construct the semigroup, reducing to coordinates on its lattice.
 
-    Zero generators are dropped (the identity is implicit).  Raises
-    EmptyInputError when nothing is left and NotPointedError when the
-    generated cone contains a line.
+    Zero generators are dropped (the identity is implicit); a non-int
+    entry raises TypeError (intlinalg.vector).  Raises EmptyInputError
+    when nothing is left and NotPointedError when the generated cone
+    contains a line, that is, when the grading (the sum of the support
+    forms) vanishes on some generator.
     """
     raws = matrix(raw_generators)
     gens_ambient = tuple(g for g in raws if any(g))
@@ -156,10 +158,7 @@ def build(raw_generators) -> AffineSemigroup:
     cone = Cone.from_generators(gens, n)
     if not is_pointed(cone):
         raise NotPointedError("the cone generated by the input contains a line")
-    grading = cone.grading
-    if not all(dot(grading, g) > 0 for g in gens):
-        raise AssertionError("grading is not positive on every generator")
-    return AffineSemigroup(raws, basis, gens, cone, grading)
+    return AffineSemigroup(raws, basis, gens, cone, cone.grading)
 
 
 def _contains(S: AffineSemigroup, c: IntVector) -> bool:
@@ -186,7 +185,7 @@ def member(S: AffineSemigroup, v) -> bool:
 
     Raises ValueError when v does not have S.dim entries.
     """
-    return _contains(S, sign_vector(S.cone, tuple(int(e) for e in v)))
+    return _contains(S, sign_vector(S.cone, vector(v)))
 
 
 def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
@@ -197,7 +196,7 @@ def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
     removal stays in the semigroup).  Raises ValueError when v does not
     have S.dim entries.
     """
-    c = sign_vector(S.cone, tuple(int(e) for e in v))
+    c = sign_vector(S.cone, vector(v))
     if not _contains(S, c):
         return None
     steps = S.cone.generator_forms
@@ -322,7 +321,7 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     _contains: a vector with a negative form value fails there, before
     _valid's table lookups, which need every entry >= 0.
     """
-    gamma = tuple(int(e) for e in gamma)
+    gamma = vector(gamma)
     values = sign_vector(S.cone, gamma)
     residues = _ordered_residues(S)
     residue_values = [sign_vector(S.cone, rho) for rho in residues]

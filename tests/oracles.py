@@ -29,8 +29,8 @@ from hslbound.cones import sign_vector
 from hslbound.intlinalg import (
     dot,
     hermite_normal_form,
+    independent_rows,
     matrix,
-    matrix_rank,
     solve_rational,
     transpose,
     vec_add,
@@ -207,7 +207,7 @@ def brute_in_cone(gens, v):
     cols = list(gens)
     for size in range(1, n + 1):
         for subset in combinations(cols, size):
-            if matrix_rank(subset) < size:
+            if len(independent_rows(subset)) < size:
                 continue
             A = tuple(zip(*subset))  # columns are the chosen generators
             x = solve_rational(A, v)

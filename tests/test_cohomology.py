@@ -62,6 +62,27 @@ def ns35_ctx(ns35):
     return pipeline(ns35)
 
 
+def test_entry_points_reject_non_integer_entries(wedge, wedge_ctx):
+    # a float entry is rejected, not truncated: (1.7, 1.2) is not the
+    # point (1, 1), and build must not read (1.5, 2) as (1, 2)
+    cert, facets = wedge_ctx
+    with pytest.raises(TypeError):
+        build([(1.5, 2), (0, 1), (2.9, 0)])
+    calls = (
+        lambda v: member(wedge, v),
+        lambda v: express(wedge, v),
+        lambda v: verify_gamma(wedge, v),
+        lambda v: zero_class(wedge, cert, facets, v, CAP),
+        lambda v: frobenius_orbit(wedge, cert, facets, v, 2, 1, CAP),
+    )
+    for call in calls:
+        call((5, 1))
+        with pytest.raises(TypeError):
+            call((1.7, 1.2))
+        with pytest.raises(TypeError):
+            call((1.0, 1))
+
+
 def test_zero_class_neg_interior(wedge, wedge_ctx):
     cert, facets = wedge_ctx
     res = zero_class(wedge, cert, facets, (-1, -1), CAP)

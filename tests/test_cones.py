@@ -15,7 +15,9 @@ from hslbound.cones import (
 from hslbound.intlinalg import (
     dot,
     hermite_normal_form,
+    independent_rows,
     matrix,
+    primitive,
     solve_rational,
     transpose,
     vec_add,
@@ -57,6 +59,14 @@ def test_support_forms_rejects_low_rank():
         support_forms(((1, 0), (2, 0)), 2)
 
 
+def test_support_forms_rejects_generators_of_the_wrong_length():
+    # two generators of length 3 span rank 2, and so do the first two
+    # entries of (1, 2, 0), (0, 1, 0); neither is a cone in Z^2
+    for gens in (((1, 0, 0), (0, 1, 0)), ((1, 2, 0), (0, 1, 0)), ((1,), (2,))):
+        with pytest.raises(ValueError, match="entries, not n = 2"):
+            support_forms(gens, 2)
+
+
 def test_support_forms_random_against_cone_oracle():
     # membership by the forms must agree with rational Caratheodory search
     rng = random.Random(10)
@@ -68,9 +78,7 @@ def test_support_forms_random_against_cone_oracle():
             if any(g):
                 gens.append(g)
         gens = tuple(gens)
-        from hslbound.intlinalg import matrix_rank
-
-        if matrix_rank(gens) != n:
+        if len(independent_rows(gens)) != n:
             continue
         forms = support_forms(gens, n)
         for g in gens:
@@ -113,8 +121,6 @@ def test_support_forms_against_brute_facets():
 
 
 def test_cone_facet_structure_invariants():
-    from hslbound.intlinalg import matrix_rank, primitive
-
     for gens, n in (
         (WEDGE_GENS, 2),
         (((2, 0), (1, 1), (1, 2)), 2),
@@ -124,7 +130,7 @@ def test_cone_facet_structure_invariants():
         for i, u in enumerate(c.support_forms):
             assert primitive(u) == u
             on_facet = [c.generators[j] for j in c.facet_generator_sets[i]]
-            assert matrix_rank(on_facet) == n - 1
+            assert len(independent_rows(on_facet)) == n - 1
             assert all(dot(u, g) >= 0 for g in c.generators)
 
 
@@ -134,6 +140,29 @@ def test_is_pointed():
     assert is_pointed(Cone.from_generators(((3,), (5,)), 1))
     assert not is_pointed(Cone.from_generators(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), 3))
     assert is_pointed(Cone.from_generators(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 3))
+
+
+def test_is_pointed_against_the_rank_of_the_forms():
+    # a cone is pointed iff its support forms span the dual space; that
+    # rank, taken by the Fraction oracle, must agree with is_pointed, which
+    # reads the grading on the generators.  Seeded signed generators of
+    # rank 1-4, half of them given a line by a negated generator
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for i in range(400):
+        n = 1 + i % 4
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+        if rng.random() < 0.5:
+            gens = [g[:-1] + (abs(g[-1]) + 1,) for g in gens]
+        if rng.random() < 0.5:
+            gens.append(tuple(-e for e in rng.choice(gens)))
+        gens = tuple(g for g in gens if any(g))
+        if fraction_rank(gens) != n:
+            continue
+        pointed = is_pointed(Cone.from_generators(gens, n))
+        assert pointed == (fraction_rank(support_forms(gens, n)) == n), gens
+        seen[pointed] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_classify_wedge():

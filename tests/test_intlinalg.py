@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,15 +9,17 @@ from hslbound.intlinalg import (
     hermite_normal_form,
     hyperplane_basis,
     identity_matrix,
+    independent_rows,
     is_prime,
     largest_prime_factor,
-    matrix_rank,
+    matrix,
     primitive,
     smith_normal_form,
     solve_in_hermite_basis,
     solve_rational,
     transpose,
     vec_mat,
+    vector,
     xgcd,
 )
 from oracles import (
@@ -24,6 +27,7 @@ from oracles import (
     brute_kernel_vectors,
     brute_row_lattice,
     det,
+    fraction_rank,
     kernel_basis,
     mat_mul,
     random_int_matrix,
@@ -188,16 +192,34 @@ def rank_test_matrices(rng):
 
 
 def test_rank_against_sympy_and_hnf():
+    # independent_rows picks greedily: a row is kept iff it is independent
+    # of the kept rows before it, and the count of kept rows is the rank
     sympy = pytest.importorskip("sympy")
     deficient = 0
     for A in rank_test_matrices(random.Random(14)):
-        rank = matrix_rank(A)
+        kept = independent_rows(A)
+        rank = len(kept)
         assert rank == sympy.Matrix(A).rank(), A
         H, _ = hermite_normal_form(A)
         assert rank == sum(1 for r in H if any(r)), A
+        for i, row in enumerate(A):
+            before = [A[j] for j in kept if j < i]
+            assert fraction_rank(before + [row]) == len(before) + (i in kept), (A, i)
         deficient += rank < min(len(A), len(A[0]))
     assert deficient > 30
-    assert matrix_rank(()) == 0
+    assert independent_rows(()) == ()
+
+
+def test_vector_takes_only_integer_entries():
+    # entries go through operator.index: ints pass exactly, anything that
+    # would have to be truncated or parsed is rejected
+    assert vector((3, -2, True)) == (3, -2, 1)
+    assert vector([10**30]) == (10**30,)
+    for bad in ((1.5, 2), (2.0, 1), (Fraction(1, 2), 0), ("1", "2")):
+        with pytest.raises(TypeError):
+            vector(bad)
+        with pytest.raises(TypeError):
+            matrix([(1, 1), bad])
 
 
 def test_det_against_sympy():
@@ -235,7 +257,7 @@ def test_kernel_spans_brute_solutions():
         for basis in bases:
             for b in basis:
                 assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
-            assert len(basis) == n - matrix_rank(A)
+            assert len(basis) == n - len(independent_rows(A))
             # the basis is Hermite-canonical, so back-substitution solves on it
             for x in brute_kernel_vectors(A, 2):
                 assert solve_in_hermite_basis(basis, x) is not None

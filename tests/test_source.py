@@ -27,6 +27,42 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def test_entries_are_coerced_only_by_intlinalg_vector():
+    # int(e) truncates a float entry to an integer point; a vector's
+    # entries go through intlinalg.vector, which rejects it.  Outside
+    # intlinalg, a generator or comprehension that applies int to its own
+    # loop variable, or a map of int, is such a coercion
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "intlinalg.py")
+    assert sources, f"no sources under {SRC}"
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                loop_vars = {
+                    n.id for gen in node.generators for n in ast.walk(gen.target) if isinstance(n, ast.Name)
+                }
+                elt = node.elt
+                coerces = (
+                    _is_call(elt, "int")
+                    and len(elt.args) == 1
+                    and isinstance(elt.args[0], ast.Name)
+                    and elt.args[0].id in loop_vars
+                )
+            else:
+                coerces = (
+                    _is_call(node, "map")
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "int"
+                )
+            if coerces:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"entries coerced by int outside intlinalg.vector: {found}"
+
+
 def load_perfbench(name):
     """perfbench/<name>.py, loaded from its file without importing perfbench."""
     path = ROOT / "perfbench" / f"{name}.py"
