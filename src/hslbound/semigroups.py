@@ -29,8 +29,6 @@ from .intlinalg import (
     solve_in_hermite_basis,
     vec_add,
     vec_mat,
-    vec_scale,
-    vec_sub,
     vector,
 )
 
@@ -43,9 +41,11 @@ class _AperyTable:
     u(e) is largest.  The semigroup meets a line in {q + t·u(e) : t >= 0}
     or not at all, and the least element q uses no e, so the table is a
     shortest-path search from the line of 0 with one edge per other
-    generator, weighted by its grading (the Apéry set of the semigroup
-    along e).  The search is popped lazily: once every heap entry exceeds
-    G, each line whose least grading is at most G holds its final value.
+    generator, weighted by its grading (the Apéry set along e).
+    settle(G) pops it until every heap entry exceeds G, when each line of
+    least grading at most G is final.  The key of c + r is the sum of
+    theirs, less u(e) if their i-th entries reach u_i(e); reduce(r)
+    readies both, once per generator step or search residue.
     """
 
     __slots__ = ("_e", "_i", "_steps", "_least", "_heap")
@@ -53,48 +53,51 @@ class _AperyTable:
     def __init__(self, generator_forms: IntMatrix):
         gradings = [sum(g) for g in generator_forms]
         j = gradings.index(min(gradings))
-        e = generator_forms[j]
-        i = e.index(max(e))
-        self._e = e
-        self._i = i
-        # a step from the line key k adds g and subtracts floor((k_i + g_i) / e_i)
-        # copies of e; 0 <= k_i < e_i, so that is q = floor(g_i / e_i), or q + 1
-        # when k_i + (g_i mod e_i) reaches e_i
-        self._steps = []
-        for k, (grade, g) in enumerate(zip(gradings, generator_forms)):
-            if k != j:
-                q, rem = divmod(g[i], e[i])
-                low = vec_sub(g, vec_scale(e, q))
-                self._steps.append((grade, e[i] - rem, low, vec_sub(low, e)))
+        e = self._e = generator_forms[j]
+        self._i = e.index(max(e))
+        self._steps = [self.reduce(g) for k, g in enumerate(generator_forms) if k != j]
         zero = (0,) * len(e)
         self._least = {zero: 0}
         self._heap = [(0, zero)]
 
-    def contains(self, c: IntVector) -> bool:
-        """c is in the semigroup.
+    def key(self, c: IntVector) -> IntVector:
+        t = c[self._i] // self._e[self._i]
+        return tuple([a - t * b for a, b in zip(c, self._e)]) if t else c
 
-        Precondition: c is the form vector of a point of the cone, so
-        every entry is >= 0.  It is not checked here; vectors that may
-        leave the cone go through _contains, which rejects them first.
-        """
-        level = sum(c)
+    def reduce(self, r: IntVector) -> tuple:
+        """(sum(r), key, key - u(e), u_i(e) - key_i)."""
+        key = self.key(r)
+        return sum(r), key, tuple(map(sub, key, self._e)), self._e[self._i] - key[self._i]
+
+    def settle(self, level: int) -> None:
         least = self._least
         heap = self._heap
-        ei = self._e[self._i]
         while heap and heap[0][0] <= level:
             d, line = heapq.heappop(heap)
             if d > least[line]:
                 continue
             r = line[self._i]
-            for grade, carry, low, high in self._steps:
+            for grade, low, high, carry in self._steps:
                 nxt = tuple(map(add, line, high if r >= carry else low))
                 nd = d + grade
                 if nd < least.get(nxt, nd + 1):
                     least[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
-        t = c[self._i] // ei
-        d = least.get(tuple([a - t * b for a, b in zip(c, self._e)]) if t else c)
-        return d is not None and d <= level
+
+    def holds(self, level, key, r) -> bool:
+        """contains(c + rho), c of grading level and line key; r = reduce(rho)."""
+        level += r[0]
+        self.settle(level)
+        line = tuple(map(add, key, r[2] if key[self._i] >= r[3] else r[1]))
+        return self._least.get(line, level + 1) <= level
+
+    def contains(self, c: IntVector) -> bool:
+        """c is in the semigroup.  c must be a point of the cone (entries
+        >= 0); _contains checks that first."""
+        level = sum(c)
+        if self._heap and self._heap[0][0] <= level:
+            self.settle(level)
+        return self._least.get(self.key(c), level + 1) <= level
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +107,10 @@ class AffineSemigroup:
     generators live in M-coordinates (rank = cone.dim); raw_generators and
     lattice_basis record the original ambient data.  Membership is asked
     of a point's support-form vector (u_1(v), ..., u_m(v)); the cone is
-    pointed and full-dimensional, so its forms span the dual space and
-    v -> u(v) is injective on M: each vector names exactly one point.
-    The answers come from the Apéry table along the generator of least
-    grading, which grows only up to the largest grading asked.  _memo
-    caches one answer per vector that member, express or the window
-    sweep ask inside the cone; the gamma search asks the table directly
-    and caches nothing.
+    pointed and full-dimensional, so v -> u(v) is injective on M.  The
+    Apéry table answers, grown up to the largest grading asked.  _memo
+    caches one answer per vector that member, the sweep or a certificate's
+    shared witness walk asks inside the cone; the gamma search caches none.
     """
 
     raw_generators: IntMatrix
@@ -164,12 +164,10 @@ def build(raw_generators) -> AffineSemigroup:
 def _contains(S: AffineSemigroup, c: IntVector) -> bool:
     """The point with support-form vector c is in the semigroup.
 
-    A point with a negative entry is outside the cone.  Any other is
-    looked up in the Apéry table: it belongs iff its line c + Z·u(e) is
-    reached and its grading sum(c) is at least the line's least grading.
-    Answers are cached in S._memo.  member, express, the window sweep and
-    verify_gamma's own gamma ask here, as their vectors may leave the
-    cone; the gamma search's residue tests ask the table directly (_valid).
+    A point with a negative entry is outside the cone.  Any other is in
+    iff its line c + Z·u(e) is reached at a least grading <= sum(c).
+    Answers are cached in S._memo.  member, the witness walks, the sweep
+    and verify_gamma's gamma ask here; residue tests ask the table.
     """
     memo = S._memo
     cached = memo.get(c)
@@ -188,29 +186,42 @@ def member(S: AffineSemigroup, v) -> bool:
     return _contains(S, sign_vector(S.cone, vector(v)))
 
 
-def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
-    """Nonnegative generator multiplicities summing to v, or None.
-
-    Reconstructed downhill, one membership test per generator tried; the
-    result is deterministic (at each step, the first generator whose
-    removal stays in the semigroup).  Raises ValueError when v does not
-    have S.dim entries.
+def _witnesses(S: AffineSemigroup, points):
+    """Generator multiplicities summing to each form vector in points, or
+    None, by one greedy walk downhill: at each point, the first generator
+    whose removal stays in the semigroup.  A transient dict records it per
+    point, so merging walks test each point once.
     """
-    c = sign_vector(S.cone, vector(v))
-    if not _contains(S, c):
-        return None
     steps = S.cone.generator_forms
-    coeffs = [0] * len(steps)
-    while any(c):
-        for j, g in enumerate(steps):
-            d = tuple(map(sub, c, g))
-            if _contains(S, d):
-                coeffs[j] += 1
-                c = d
-                break
-        else:  # pragma: no cover - contradicts _contains(c) being True
-            raise AssertionError("no generator can be removed from a member")
-    return tuple(coeffs)
+    removed = {}
+    for c in points:
+        if not _contains(S, c):
+            yield None
+            continue
+        coeffs = [0] * len(steps)
+        while any(c):
+            j = removed.get(c)
+            if j is None:
+                for j, g in enumerate(steps):
+                    d = tuple(map(sub, c, g))
+                    if _contains(S, d):
+                        removed[c] = j
+                        break
+                else:  # pragma: no cover
+                    raise AssertionError("no generator can be removed from a member")
+            else:
+                d = tuple(map(sub, c, steps[j]))
+            coeffs[j] += 1
+            c = d
+        yield tuple(coeffs)
+
+
+def express(S: AffineSemigroup, v) -> tuple[int, ...] | None:
+    """Nonnegative generator multiplicities summing to v, or None: the
+    shared witness walk (_witnesses) on v alone.  Raises ValueError when
+    v does not have S.dim entries.
+    """
+    return next(_witnesses(S, [sign_vector(S.cone, vector(v))]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +290,33 @@ class GammaCertificate:
         return self.m_q == max(self.facet_values)
 
 
-def _ordered_residues(S: AffineSemigroup) -> list[IntVector]:
-    """The saturation residues by grading, then lexicographically: the
-    order in which candidates are tested and witnesses are listed."""
-    return sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
+def _residues(S: AffineSemigroup):
+    """The residues by grading, then lexicographically, their form vectors,
+    and those reduced for _valid, which reorders that list."""
+    residues = sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
+    values = [sign_vector(S.cone, rho) for rho in residues]
+    return residues, values, [S._apery.reduce(r) for r in values]
 
 
-def _valid(S, values, residue_values: list) -> bool:
-    """gamma + rho lies in the semigroup for every residue rho, all given
-    by their support-form vectors; gamma itself must be in the semigroup.
-
-    Each test asks the Apéry table directly, with no answer cached: gamma
-    and rho are points of the cone, so every entry of their sum is >= 0,
-    as the table requires.  Stops at the first residue that fails and
-    moves it to the front of residue_values, so a caller passing the same
-    list again tests it first.  Validity is a conjunction, so the order
-    changes no answer.
+def _valid(table: _AperyTable, values, reduced: list) -> bool:
+    """gamma + rho is in the semigroup for each reduced residue rho, by
+    table.holds; no answer is cached.  A failing residue moves to the
+    front of reduced, to be tried first next time (order is moot).
     """
-    contains = S._apery.contains
-    for k, r in enumerate(residue_values):
-        if not contains(tuple(map(add, values, r))):
+    level = sum(values)
+    key = table.key(values)
+    for k, r in enumerate(reduced):
+        if not table.holds(level, key, r):
             if k:
-                residue_values.insert(0, residue_values.pop(k))
+                reduced.insert(0, reduced.pop(k))
             return False
     return True
 
 
-def _certify(S, gamma, values, residues) -> GammaCertificate:
-    """Witnesses for a gamma that passed _valid, residue by residue."""
-    witnesses = tuple((rho, express(S, vec_add(gamma, rho))) for rho in residues)
-    return GammaCertificate(gamma, express(S, gamma), values, max(values), witnesses)
+def _certify(S, gamma, values, residues, residue_values) -> GammaCertificate:
+    """Witnesses for a valid gamma and each gamma + rho, in one walk."""
+    coeffs, *witnesses = _witnesses(S, [values] + [vec_add(values, r) for r in residue_values])
+    return GammaCertificate(gamma, coeffs, values, max(values), tuple(zip(residues, witnesses)))
 
 
 def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
@@ -317,17 +325,15 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     Checking the finitely many residues suffices: any saturation point s
     splits as q + rho with q in the semigroup, so gamma + s =
     (gamma + rho) + q.  Conversely each rho is itself a saturation point.
-    gamma is arbitrary, so its own membership is asked first, through
-    _contains: a vector with a negative form value fails there, before
-    _valid's table lookups, which need every entry >= 0.
+    gamma is arbitrary, so _contains asks its own membership first,
+    rejecting a negative form value before _valid's table lookups.
     """
     gamma = vector(gamma)
     values = sign_vector(S.cone, gamma)
-    residues = _ordered_residues(S)
-    residue_values = [sign_vector(S.cone, rho) for rho in residues]
-    if not _contains(S, values) or not _valid(S, values, residue_values):
+    residues, residue_values, reduced = _residues(S)
+    if not _contains(S, values) or not _valid(S._apery, values, reduced):
         return None
-    return _certify(S, gamma, values, residues)
+    return _certify(S, gamma, values, residues, residue_values)
 
 
 def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
@@ -338,21 +344,18 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     support form is nonnegative, and the grading positive, on every
     generator, so a generator step strictly raises the key: candidates pop
     in key order, and the first one that passes (gamma + rho in the
-    semigroup for every residue rho) is optimal.  Each candidate carries
-    its support-form vector, the sum of its generators' vectors.  A
-    generator sum is in the semigroup by construction, so only that
-    vector plus each residue's is tested, by _valid straight on the Apéry
-    table, the residue that failed last first (a candidate near a
-    rejected one tends to fail on the same residue).  The search caches
-    no answers; witnesses are built for the winner alone, by express,
-    residues in canonical order.
+    semigroup for every residue rho) is optimal.  A candidate carries its
+    support-form vector, the sum of its generators' vectors, and is in
+    the semigroup by construction, so only gamma + rho is tested, by
+    _valid, the residue that failed last first (nearby candidates tend
+    to fail on the same one).  No answer is cached; the frontier is
+    freed before one walk builds the winner's witnesses.
 
     budget is the number of candidates popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level
     popped.
     """
-    residues = _ordered_residues(S)
-    residue_values = [sign_vector(S.cone, rho) for rho in residues]
+    residues, residue_values, reduced = _residues(S)
     steps = [
         (step_values, dot(S.grading, g), g)
         for step_values, g in zip(S.cone.generator_forms, S.generators)
@@ -366,15 +369,18 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
         _, level, gamma, values = heapq.heappop(heap)
         examined += 1
         max_level = max(max_level, level)
-        if _valid(S, values, residue_values):
-            return _certify(S, gamma, values, residues)
+        if _valid(S._apery, values, reduced):
+            break
         for step_values, step_level, g in steps:
             nxt = vec_add(gamma, g)
             if nxt not in seen:
                 seen.add(nxt)
                 nxt_values = vec_add(values, step_values)
                 heapq.heappush(heap, (max(nxt_values), level + step_level, nxt, nxt_values))
-    raise BudgetExhaustedError(examined, max_level)
+    else:
+        raise BudgetExhaustedError(examined, max_level)
+    del heap, seen
+    return _certify(S, gamma, values, residues, residue_values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ library does in bulk, or no longer does at all; so is the cofactor
 `adjugate`, which the library replaced by `adjugate_det`.
 `smith_boundary_order` is the p-adic reading of a boundary degree's
 Frobenius order off a Smith decomposition taken from sympy, which the
-library replaced by zero_class's lattice test at every level.  The
+library replaced by zero_class's lattice test at every level;
+`greedy_express` is the one-walk-per-call form of the shared walk that
+builds gamma certificates, on brute membership.  The
 matrix products, the Bareiss `det` and `sat_member` are here because
 only the tests read them.
 """
@@ -307,6 +309,28 @@ def semigroup_elements_upto(gens, grading, cap):
                 seen.add(w)
                 heapq.heappush(heap, (lw, w))
     return seen
+
+
+def greedy_express(gens, grading, v):
+    """Generator multiplicities summing to v, or None, one walk per call.
+
+    The library's greedy rule (at each point, remove the first generator
+    whose removal stays in the semigroup), decided on the brute
+    enumeration of generator sums up to v's grading, with no shared state
+    between calls.
+    """
+    members = semigroup_elements_upto(gens, grading, sum(a * b for a, b in zip(grading, v)))
+    if v not in members:
+        return None
+    coeffs = [0] * len(gens)
+    while any(v):
+        for j, g in enumerate(gens):
+            w = tuple(a - b for a, b in zip(v, g))
+            if w in members:
+                coeffs[j] += 1
+                v = w
+                break
+    return tuple(coeffs)
 
 
 def numerical_members_upto(gens, limit):

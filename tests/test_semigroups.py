@@ -33,6 +33,7 @@ from hslbound.semigroups import (
     verify_gamma,
 )
 from oracles import (
+    greedy_express,
     random_raw_generators,
     random_signed_generators,
     sat_member,
@@ -365,21 +366,21 @@ def test_find_gamma_w13_optimal_at_default_budget():
 
 
 def test_find_gamma_caches_no_answers(monkeypatch):
-    # the search asks the Apéry table directly, one lookup per residue
-    # tried (571 on W_7, a count that moves with the candidate or residue
-    # order); only the winner's witnesses (express) go through _contains
+    # the search asks the Apéry table directly, one lookup (holds) per
+    # residue tried (571 on W_7, a count that moves with the candidate or
+    # residue order); only the winner's witnesses go through _contains
     # and its cache, and _certify is stubbed out here
     S = build(wedge_gens(17))
     with pytest.raises(BudgetExhaustedError) as info:
         find_gamma(S)
-    assert info.value.examined == 10000 and S._memo == {}
+    assert (info.value.examined, info.value.max_level) == (10000, 6891) and S._memo == {}
     calls = Counter()
-    table_contains = semigroups._AperyTable.contains
+    holds = semigroups._AperyTable.holds
     contains = semigroups._contains
 
-    def counting_table(table, c):
-        calls["table"] += 1
-        return table_contains(table, c)
+    def counting_holds(table, level, key, r):
+        calls["holds"] += 1
+        return holds(table, level, key, r)
 
     def counting(S, c):
         calls["_contains"] += 1
@@ -387,15 +388,91 @@ def test_find_gamma_caches_no_answers(monkeypatch):
 
     def certify(*args):
         calls["certified"] += 1
-        assert calls == {"table": 571, "certified": 1}, calls
+        assert calls == {"holds": 571, "certified": 1}, calls
         return args
 
-    monkeypatch.setattr(semigroups._AperyTable, "contains", counting_table)
+    monkeypatch.setattr(semigroups._AperyTable, "holds", counting_holds)
     monkeypatch.setattr(semigroups, "_contains", counting)
     monkeypatch.setattr(semigroups, "_certify", certify)
     S = build(wedge_gens(7))
     find_gamma(S)
     assert calls["certified"] == 1 and S._memo == {}
+
+
+@pytest.mark.parametrize(
+    "k, tests, memo", [(7, 281, 186), (9, 554, 395), (11, 955, 716)]
+)
+def test_certificate_walks_share_their_membership_tests(monkeypatch, k, tests, memo):
+    # the witnesses of gamma and of every gamma + rho come from one walk,
+    # which stops at the first point an earlier walk recorded; one walk
+    # per point made 1,101, 2,614 and 5,099 tests on W_7, W_9 and W_11.
+    # The walks ask the same points, so the memo sizes are those of one
+    # walk per point
+    calls = []
+    contains = semigroups._contains
+
+    def counting(S, c):
+        calls.append(c)
+        return contains(S, c)
+
+    monkeypatch.setattr(semigroups, "_contains", counting)
+    S = build(wedge_gens(k))
+    cert = find_gamma(S)
+    assert len(calls) == tests and len(S._memo) == memo
+    assert cert == verify_gamma(build(wedge_gens(k)), cert.gamma)
+
+
+def test_certificate_witnesses_match_one_walk_per_point(d3):
+    # every witness of a certificate is the greedy walk of its own point,
+    # taken on brute membership with nothing shared between points: on
+    # W_5, W_7, D3, D4, <3, 5> and seeded rank 2-3 inputs whose search
+    # ends within the budget (rank 3: whose witnesses lie at grading <= 60)
+    inputs = [wedge_gens(5), wedge_gens(7), d3.raw_generators, D4_GENS, ((3,), (5,))]
+    for seed, rank in product(range(12), (2, 3)):
+        inputs.append(random_raw_generators(random.Random(seed), rank))
+        inputs.append(random_signed_generators(random.Random(seed), rank, 2))
+    checked = Counter()
+    for gens in inputs:
+        S = build(gens)
+        try:
+            cert = find_gamma(S, budget=2000)
+        except BudgetExhaustedError:
+            continue
+        points = [cert.gamma] + [vec_add(cert.gamma, rho) for rho, _ in cert.residue_witnesses]
+        if S.dim > 2 and max(dot(S.grading, v) for v in points) > 60:
+            continue
+        witnesses = [cert.gamma_coeffs] + [coeffs for _, coeffs in cert.residue_witnesses]
+        for v, coeffs in zip(points, witnesses):
+            assert coeffs == greedy_express(S.generators, S.grading, v), (gens, v)
+        checked[S.dim] += 1
+    assert checked == {1: 1, 2: 26, 3: 11, 4: 1}, checked
+
+
+def test_reduced_residue_lookup_against_contains():
+    # holds(level, key(c), reduce(r)) on the line keys of c and r must
+    # answer contains(c + r), asked of a second table, whether the keys'
+    # i-th entries sum below u_i(e) or reach it
+    kinds = Counter()
+    for seed, rank in product(range(6), (2, 3)):
+        rng = random.Random(seed)
+        gens = random_raw_generators(rng, rank)
+        S = build(gens)
+        table, other = S._apery, build(gens)._apery
+        forms = S.cone.generator_forms
+        residues = [sign_vector(S.cone, rho) for rho in saturation_residues(S).residues]
+        e_i = table._e[table._i]
+        for _ in range(150):
+            coeffs = [rng.randint(0, 3) for _ in forms]
+            # a generator sum, or one less a generator: a member or not
+            c = vec_add(vec_mat(coeffs, forms), vec_scale(rng.choice(forms), -rng.randint(0, 1)))
+            if min(c) < 0:
+                continue
+            r = rng.choice(residues)
+            key = table.key(c)
+            answer = table.holds(sum(c), key, table.reduce(r))
+            assert answer == other.contains(vec_add(c, r)), (gens, c, r)
+            kinds[key[table._i] + table.key(r)[table._i] >= e_i, answer] += 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
 
 
 def test_recheck_rejects_forged_facet_values():
