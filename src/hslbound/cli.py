@@ -14,6 +14,7 @@ the reader closed standard output (as after `| head`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,14 +209,18 @@ def cmd_dim1(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each subcommand's
+    handler is its `run` default."""
     parser = _Parser(prog="hslbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     analyze = sub.add_parser("analyze", help="geometry, gamma, m_Q, N_Q")
     bound = sub.add_parser("bound", help="nilpotence bound for one prime")
     verify = sub.add_parser("verify", help="window sweep against the bound")
     dim1 = sub.add_parser("dim1", help="exact answer for rank-1 input")
-    for p in (analyze, bound, verify, dim1):
+    for p, run in ((analyze, cmd_analyze), (bound, cmd_bound), (verify, cmd_verify), (dim1, cmd_dim1)):
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="JSON input file")
     for p in (bound, verify, dim1):
         p.add_argument("--prime", type=int, required=True)
@@ -235,18 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "analyze": cmd_analyze,
-        "bound": cmd_bound,
-        "verify": cmd_verify,
-        "dim1": cmd_dim1,
-    }
     try:
         try:
             args = build_parser().parse_args(argv)
             if "budget" in args and args.budget < 1:
                 raise InputError("--budget must be at least 1")
-            code = handlers[args.command](args)
+            code = args.run(args)
         except SystemExit as exc:
             code = int(exc.code or 0)
         except tuple(EXIT_CODES) as exc:

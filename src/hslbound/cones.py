@@ -8,19 +8,18 @@ integers: barycentric coordinates in a simplicial subcone with ray
 matrix R are adj(R) @ x / det(R), so their signs and floors come from
 integer products and floor division, without rationals.
 
-No rank or sign question here needs a normal form.  The double
-description is seeded with the dual of one simplex, the first n
-generators independent of those before them (one fraction-free
-elimination, intlinalg.independent_rows).  It keeps a candidate ray iff
-no other candidate's zero set strictly contains its own, and each
+No rank or sign question here needs a normal form.  One fraction-free
+elimination (intlinalg.dual_basis) picks the first n rays independent of
+those before them and gives their determinant and ridge normals; _simplex
+builds every simplex from it.  The double description is seeded with the
+dual of such a simplex of generators.  It keeps a candidate ray iff no
+other candidate's zero set strictly contains its own, and each
 candidate's zero set is derived from its parents' zero sets rather than
 from dot products; a generator spans an extreme ray by the same test on
-the generators' zero sets.  The triangulation starts from the first n
-independent rays.  A simplex takes adjugate and determinant from one
-elimination pass (intlinalg.adjugate_det) and keeps the adjugate's
-columns, the normals of its ridges, for its parallelepiped, which reads
-only the diagonal of the rays' Hermite form besides, the sides of the
-box it walks.
+the generators' zero sets.  The triangulation starts from such a simplex
+of rays, and each simplex keeps its ridge normals for its
+parallelepiped, which reads only the diagonal of the rays' Hermite form
+besides, the sides of the box it walks.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ from operator import add, mul
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    adjugate_det,
     dot,
+    dual_basis,
     hermite_normal_form,
-    independent_rows,
     matrix,
     primitive,
-    transpose,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -143,10 +139,10 @@ def support_forms(generators, n: int) -> IntMatrix:
     """Irredundant primitive inward facet normals of cone(generators).
 
     Incremental halfspace processing (the double description method,
-    Fukuda-Prodon 1996), seeded with one simplex: the first n generators
-    independent of those before them (intlinalg.independent_rows) span a
-    simplicial cone, whose dual has the primitive ridge normals of
-    _simplex as its rays, each vanishing on the simplex's generators but
+    Fukuda-Prodon 1996), seeded with one simplex: _simplex on all the
+    generators takes the first n independent of those before them, a
+    simplicial cone whose dual has the primitive ridge normals of the
+    simplex as its rays, each vanishing on the simplex's generators but
     the one it faces.  Fewer than n of them means the generators do not
     span rank n.  Every other generator g_k then restricts the dual to
     {u : u(g_k) >= 0}.  Each candidate ray carries its zero set, the
@@ -165,12 +161,13 @@ def support_forms(generators, n: int) -> IntMatrix:
         raise ValueError(f"generators have {len(gens[0])} entries, not n = {n}")
     if any(not any(g) for g in gens):
         raise ValueError("zero generator")
-    base = independent_rows(gens)
-    if len(base) != n:
+    seed = _simplex(gens)
+    if seed is None:
         raise ValueError("generators do not span rank n")
+    base = seed.ray_indices
     rays = [
         (primitive(normal), frozenset(base[:j] + base[j + 1 :]))
-        for j, normal in enumerate(_simplex(base, gens).normals)
+        for j, normal in enumerate(seed.normals)
     ]
     for k, g in enumerate(gens):
         if k in base:
@@ -273,22 +270,23 @@ def classify(cone: Cone, v) -> tuple[RegionTag, RegionTag]:
 def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
     """Placing triangulation of a pointed full-dimensional cone.
 
-    Rays are inserted in their stored order; each new ray, being extreme,
-    lies strictly outside the cone built so far, and is coned over the
-    boundary ridges it sees.  Every simplex keeps the normals of its
-    ridges (_simplex), so a ray sees a boundary ridge iff its product
-    with that ridge's normal is negative, and no ridge takes a
-    determinant of its own.  Subcones use extreme rays only, cover the
-    cone, and have pairwise disjoint interiors.
+    The first simplex is _simplex on all the rays: the first n independent
+    of those before them.  The other rays are inserted in their stored
+    order; each new ray, being extreme, lies strictly outside the cone
+    built so far, and is coned over the boundary ridges it sees.  Every
+    simplex keeps the normals of its ridges (_simplex), so a ray sees a
+    boundary ridge iff its product with that ridge's normal is negative,
+    and no ridge takes a determinant of its own.  Subcones use extreme
+    rays only, cover the cone, and have pairwise disjoint interiors.
     """
     if not cone.extreme_ray_reps:
         raise ValueError("triangulation needs a pointed cone")
     rays = cone.extreme_rays
-    n = cone.dim
-    base = independent_rows(rays)
-    if len(base) < n:
+    seed = _simplex(rays)
+    if seed is None:
         raise ValueError("cone is not full-dimensional")
-    simplices = [_simplex(base, rays)]
+    base = seed.ray_indices
+    simplices = [seed]
     for k in range(len(rays)):
         if k in base:
             continue
@@ -299,26 +297,31 @@ def triangulate(cone: Cone) -> tuple[SimplicialSubcone, ...]:
                 owners.setdefault(S[:j] + S[j + 1 :], []).append(normal)
         for F, owning in owners.items():
             if len(owning) == 1 and dot(owning[0], rays[k]) < 0:
-                simplices.append(_simplex(tuple(sorted(F + (k,))), rays))
+                S = tuple(sorted(F + (k,)))
+                sub = _simplex(rays, S)
+                if sub is None:
+                    raise AssertionError(f"triangulation produced a degenerate simplex {S}")
+                simplices.append(sub)
     return tuple(simplices)
 
 
-def _simplex(S, rays) -> SimplicialSubcone:
-    """The subcone on the rays S, with the normals of its ridges.
+def _simplex(rays, S=None) -> SimplicialSubcone | None:
+    """The subcone on the first n of the rays S (all rays by default)
+    independent of those before them, with the normals of its ridges, or
+    None when fewer than n are.
 
-    With M the matrix whose rows are those rays, M @ adj(M) == det(M) * I,
-    so column j of sign(det) * adj(M) vanishes on every ray of S but
-    S[j] and is positive on that one: it is the normal of the ridge
-    opposite S[j], oriented toward it.  Its product with x is sign(det)
-    times det(M with x in row j).
+    intlinalg.dual_basis gives those rays' indices, their absolute
+    determinant d and rows B with B[j] . rays[k] == d * (j == k): B[j]
+    vanishes on every ray of the simplex but the j-th and is positive on
+    that one, so it is the normal of the ridge opposite it, oriented
+    toward it.
     """
-    chosen = tuple(rays[i] for i in S)
-    try:
-        adj, d = adjugate_det(chosen)
-    except ValueError:
-        raise AssertionError(f"triangulation produced a degenerate simplex {S}") from None
-    normals = transpose(adj if d > 0 else tuple(map(vec_neg, adj)))
-    return SimplicialSubcone(S, abs(d), chosen, normals)
+    S = range(len(rays)) if S is None else S
+    picked, d, normals = dual_basis([rays[i] for i in S])
+    if not d:
+        return None
+    S = tuple(S[i] for i in picked)
+    return SimplicialSubcone(S, d, tuple(rays[i] for i in S), normals)
 
 
 def parallelepiped_points(sub: SimplicialSubcone) -> tuple[IntVector, ...]:

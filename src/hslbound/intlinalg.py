@@ -55,16 +55,8 @@ def vec_scale(v, c):
     return tuple(c * a for a in v)
 
 
-def vec_neg(v):
-    return tuple(-a for a in v)
-
-
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(A: IntMatrix) -> IntMatrix:
-    return tuple(zip(*A)) if A else ()
 
 
 def vec_mat(x: IntVector, A: IntMatrix) -> IntVector:
@@ -141,38 +133,54 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
-def independent_rows(A) -> tuple[int, ...]:
-    """Indices of the rows of A independent of the rows before them.
+# ---------------------------------------------------------------------------
+# independent rows and their dual basis
 
-    Their count is the rank of A.  Fraction-free (Bareiss) elimination
-    runs on the columns of A, so its pivot columns are exactly those rows,
-    picked greedily in order; a column with no nonzero entry from the
-    current row down is skipped.  Every entry after step k is a
-    (k+1)-minor of the row-permuted A^T (Sylvester's identity), so each
-    division by the previous pivot is exact.  Only the columns right of a
-    pivot are updated; the ones left of it are never read again.
+
+def dual_basis(A) -> tuple[tuple[int, ...], int, IntMatrix]:
+    """(P, d, B): the rows P of A independent of the rows before them, and
+    when they are n, d = |det A_P| and the rows B with B[j] . A[P[k]] ==
+    d * (j == k).
+
+    One fraction-free (Bareiss) Gauss-Jordan pass runs over [A^T | I]:
+    a column of A^T with a nonzero entry from the current row down is a
+    pivot, so P is picked greedily in order and len(P) is the rank of A,
+    and a column without one is skipped.  Every entry after a step is a
+    minor of the row-permuted [A^T | I] (Sylvester's identity), so each
+    division by the previous pivot is exact; columns left of a pivot are
+    never read again, so they are not updated.  With n pivots the right
+    block E has E @ A_P^T == p * I, p the last pivot and |p| == d, so B =
+    sign(p) * E is sign(det A_P) times the transposed adjugate of A_P.
+    With fewer, d is 0 and B is empty.
     """
-    M = [list(r) for r in transpose(matrix(A))]
-    m = len(M)
+    n = len(A[0]) if A else 0
+    if any(len(r) != n for r in A):
+        raise ValueError("ragged matrix")
+    k = len(A)
+    M = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*A))]
     picked = []
     r, prev = 0, 1
-    for c in range(len(M[0]) if M else 0):
-        pivot = next((i for i in range(r, m) if M[i][c]), None)
+    for c in range(k):
+        if r == n:
+            break
+        pivot = next((i for i in range(r, n) if M[i][c]), None)
         if pivot is None:
             continue
         picked.append(c)
         top = M[pivot]
         M[r], M[pivot] = top, M[r]
         p = top[c]
-        r += 1
-        if r == m:
-            break
-        for row in M[r:]:
-            a = row[c]
-            for j in range(c + 1, len(top)):
-                row[j] = (row[j] * p - a * top[j]) // prev
+        tail = top[c + 1 :]
+        for i, row in enumerate(M):
+            if i != r:
+                a = row[c]
+                row[c + 1 :] = [(e * p - a * t) // prev for e, t in zip(row[c + 1 :], tail)]
         prev = p
-    return tuple(picked)
+        r += 1
+    if r < n:
+        return tuple(picked), 0, ()
+    sign = 1 if prev > 0 else -1
+    return tuple(picked), sign * prev, tuple(tuple(sign * e for e in row[k:]) for row in M)
 
 
 # ---------------------------------------------------------------------------
@@ -315,43 +323,6 @@ def solve_rational(A, b) -> tuple[Fraction, ...] | None:
     for rr, cc in pivots:
         x[cc] = aug[rr][n]
     return tuple(x)
-
-
-def adjugate_det(A: IntMatrix) -> tuple[IntMatrix, int]:
-    """(adj A, det A) of a nonsingular square A, so A @ adj == det(A) * I.
-
-    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I] clears
-    every column above and below its pivot; columns left of the pivot
-    are never read again, so they are not updated.  Each entry after step
-    k is a (k+1)-minor of the row-permuted [A | I], so every division by
-    the previous pivot is exact.  The right block ends as d * A^-1 with d
-    the last pivot, and each row swap flips the sign that turns it into
-    adj A.  Raises ValueError when A is singular.
-    """
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("adjugate needs a square matrix")
-    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(A)]
-    sign, prev = 1, 1
-    for c in range(n):
-        top = M[c]
-        p = top[c]
-        if not p:
-            pivot = next((i for i in range(c + 1, n) if M[i][c]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            top, M[pivot] = M[pivot], top
-            M[c] = top
-            p = top[c]
-            sign = -sign
-        tail = top[c + 1 :]
-        for i, row in enumerate(M):
-            if i != c:
-                a = row[c]
-                row[c + 1 :] = [(e * p - a * t) // prev for e, t in zip(row[c + 1 :], tail)]
-        prev = p
-    adj = tuple(tuple(sign * e for e in row[n:]) for row in M)
-    return adj, sign * prev
 
 
 # ---------------------------------------------------------------------------

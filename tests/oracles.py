@@ -7,14 +7,14 @@ library's Hermite form, as `hyperplane_basis` does, so only brute-force
 kernel vectors check the two independently.  The reference chain of the
 window sweep and `decompose` are plain per-call versions of what the
 library does in bulk, or no longer does at all; so is the cofactor
-`adjugate`, which the library replaced by `adjugate_det`.
+`adjugate`, which the library replaced by `dual_basis`.
 `smith_boundary_order` is the p-adic reading of a boundary degree's
 Frobenius order off a Smith decomposition taken from sympy, which the
 library replaced by zero_class's lattice test at every level;
 `greedy_express` is the one-walk-per-call form of the shared walk that
 builds gamma certificates, on brute membership.  The
-matrix products, the Bareiss `det` and `sat_member` are here because
-only the tests read them.
+matrix products, `transpose`, the Bareiss `det` and `sat_member` are
+here because only the tests read them.
 """
 
 from __future__ import annotations
@@ -31,14 +31,16 @@ from hslbound.cones import sign_vector
 from hslbound.intlinalg import (
     dot,
     hermite_normal_form,
-    independent_rows,
     matrix,
     solve_rational,
-    transpose,
     vec_add,
     vec_scale,
     vec_sub,
 )
+
+
+def transpose(A):
+    return tuple(zip(*A)) if A else ()
 
 
 def mat_mul(A, B):
@@ -111,8 +113,8 @@ def adjugate(A):
     """Integer adjugate, the transposed cofactor matrix: A @ adj == det(A) * I.
 
     Each cofactor is a Bareiss determinant of a minor, so a singular
-    matrix gets its adjugate too.  The reference for
-    intlinalg.adjugate_det.
+    matrix gets its adjugate too.  The reference for the dual basis of
+    intlinalg.dual_basis, its transpose up to the sign of the determinant.
     """
     A = matrix(A)
     n = len(A)
@@ -209,7 +211,7 @@ def brute_in_cone(gens, v):
     cols = list(gens)
     for size in range(1, n + 1):
         for subset in combinations(cols, size):
-            if len(independent_rows(subset)) < size:
+            if fraction_rank(subset) < size:
                 continue
             A = tuple(zip(*subset))  # columns are the chosen generators
             x = solve_rational(A, v)

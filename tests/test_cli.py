@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hslbound import cohomology
+from hslbound import cli, cohomology
 from hslbound.cli import main
 from hslbound.cohomology import frobenius_orbit
 from hslbound.intlinalg import MILLER_RABIN_LIMIT
@@ -101,6 +101,29 @@ def test_analyze_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, "analyze", "--input", path)
     _, out2, _ = run(capsys, "analyze", "--input", path)
     assert out1 == out2
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # the argparse tree is built once per process, and each call
+    # dispatches to its subcommand through it
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    path = write_input(tmp_path, NS35)
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    try:
+        code, out, _ = run(capsys, "analyze", "--input", path)
+        assert code == 0 and json.loads(out)["rank"] == 1
+        code, out, _ = run(capsys, "dim1", "--input", path, "--prime", "2")
+        assert code == 0 and out.strip() == "3"
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("hslbound") == 1
 
 
 def test_analyze_table_format(tmp_path, capsys):

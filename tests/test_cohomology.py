@@ -147,7 +147,7 @@ def test_zero_class_dim1_exhaustive_nonzero(ns35, ns35_ctx):
     assert zero_class(ns35, cert, facets, (8,), CAP).is_zero
 
 
-def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx, d3):
+def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx, d3, index2, index2_ctx):
     # evidence that does not fit the facets fails the check, not raises
     cert, facets = wedge_ctx
     v = (-5, -1)
@@ -160,8 +160,25 @@ def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx, d3):
         replace(res, facet=7),
         replace(res, facet=-1),
         replace(res, verdict="bogus"),
+        replace(res, witness=vec_add(res.witness, (1, 0))),
     ):
         assert forged.recheck(wedge, facets, v) is False, forged
+    # a witness that is its coefficients' sum, but off the facet: only
+    # facet data whose form does not vanish on its generators gives one
+    off = next(g for g in wedge.generators if dot(facets[res.facet].support_form, g))
+    forged_facets = list(facets)
+    forged_facets[res.facet] = replace(facets[res.facet], facet_gens=(off,))
+    forged = replace(res, witness=off, witness_coeffs=(1,))
+    assert forged.recheck(wedge, forged_facets, v) is False
+    # a boundary-lattice verdict holds only at its degree's zero facets on
+    # the boundary of -sigma
+    cert, facets = index2_ctx
+    res = zero_class(index2, cert, facets, (-1, 0), CAP)
+    assert res.certificate == "boundary_lattice" and res.recheck(index2, facets, (-1, 0))
+    assert res.recheck(index2, facets, (1, 0)) is False
+    for checked in ((), (0, 1), (1,)):
+        forged = replace(res, checked_facets=checked)
+        assert forged.recheck(index2, facets, (-1, 0)) is False, checked
     # a certificate counts only under a nonzero verdict, and an unknown
     # verdict carries none
     cert, facets = pipeline(d3)

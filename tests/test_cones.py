@@ -15,11 +15,9 @@ from hslbound.cones import (
 from hslbound.intlinalg import (
     dot,
     hermite_normal_form,
-    independent_rows,
     matrix,
     primitive,
     solve_rational,
-    transpose,
     vec_add,
 )
 from oracles import (
@@ -33,6 +31,7 @@ from oracles import (
     fraction_rank,
     random_int_matrix,
     random_raw_generators,
+    transpose,
 )
 
 WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
@@ -55,8 +54,12 @@ def test_support_forms_halfline():
 
 
 def test_support_forms_rejects_low_rank():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not span rank n"):
         support_forms(((1, 0), (2, 0)), 2)
+    with pytest.raises(ValueError, match="no generators"):
+        support_forms((), 2)
+    with pytest.raises(ValueError, match="zero generator"):
+        support_forms(((1, 0), (0, 0), (0, 1)), 2)
 
 
 def test_support_forms_rejects_generators_of_the_wrong_length():
@@ -78,7 +81,7 @@ def test_support_forms_random_against_cone_oracle():
             if any(g):
                 gens.append(g)
         gens = tuple(gens)
-        if len(independent_rows(gens)) != n:
+        if fraction_rank(gens) != n:
             continue
         forms = support_forms(gens, n)
         for g in gens:
@@ -130,7 +133,7 @@ def test_cone_facet_structure_invariants():
         for i, u in enumerate(c.support_forms):
             assert primitive(u) == u
             on_facet = [c.generators[j] for j in c.facet_generator_sets[i]]
-            assert len(independent_rows(on_facet)) == n - 1
+            assert fraction_rank(on_facet) == n - 1
             assert all(dot(u, g) >= 0 for g in c.generators)
 
 
@@ -292,7 +295,7 @@ def test_parallelepiped_random_against_brute_force():
             want = brute_parallelepiped(rays)
             for order in (rays, rays[1::-1] + rays[2:]) if n > 1 else (rays,):
                 signs.add(det(order) > 0)
-                sub = _simplex(tuple(range(n)), order)
+                sub = _simplex(order)
                 assert list(parallelepiped_points(sub)) == want, order
     assert signs == {True, False}
 
@@ -318,7 +321,7 @@ def test_parallelepiped_walk_large_determinants():
         n = len(rays)
         H, _ = hermite_normal_form(rays)
         digits.add(sum(H[i][i] > 1 for i in range(n)))
-        sub = _simplex(tuple(range(n)), rays)
+        sub = _simplex(rays)
         assert list(parallelepiped_points(sub)) == brute_parallelepiped(rays), rays
     assert {1, 2} <= digits
 

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hslbound.intlinalg import (
-    adjugate_det,
+    dual_basis,
     hermite_normal_form,
     hyperplane_basis,
     identity_matrix,
-    independent_rows,
     is_prime,
     largest_prime_factor,
     matrix,
@@ -17,7 +16,6 @@ from hslbound.intlinalg import (
     smith_normal_form,
     solve_in_hermite_basis,
     solve_rational,
-    transpose,
     vec_mat,
     vector,
     xgcd,
@@ -32,6 +30,7 @@ from oracles import (
     mat_mul,
     random_int_matrix,
     smith_factors_hold,
+    transpose,
 )
 
 
@@ -65,6 +64,8 @@ def test_hnf_identity():
     I = identity_matrix(2)
     H, U = hermite_normal_form(I)
     assert H == I and U == I
+    with pytest.raises(ValueError, match="empty matrix"):
+        hermite_normal_form(())
 
 
 def test_hnf_full_lattice():
@@ -112,6 +113,8 @@ def test_snf_examples():
     # the determinantal divisors tell (1, 6) from (2, 3), which has the
     # same product
     assert not smith_factors_hold(((2, 0), (0, 3)), (2, 3))
+    with pytest.raises(ValueError, match="empty matrix"):
+        smith_normal_form(())
 
 
 def test_snf_properties_random():
@@ -192,12 +195,12 @@ def rank_test_matrices(rng):
 
 
 def test_rank_against_sympy_and_hnf():
-    # independent_rows picks greedily: a row is kept iff it is independent
-    # of the kept rows before it, and the count of kept rows is the rank
+    # dual_basis picks greedily: a row is kept iff it is independent of
+    # the kept rows before it, and the count of kept rows is the rank
     sympy = pytest.importorskip("sympy")
     deficient = 0
     for A in rank_test_matrices(random.Random(14)):
-        kept = independent_rows(A)
+        kept = dual_basis(A)[0]
         rank = len(kept)
         assert rank == sympy.Matrix(A).rank(), A
         H, _ = hermite_normal_form(A)
@@ -207,7 +210,7 @@ def test_rank_against_sympy_and_hnf():
             assert fraction_rank(before + [row]) == len(before) + (i in kept), (A, i)
         deficient += rank < min(len(A), len(A[0]))
     assert deficient > 30
-    assert independent_rows(()) == ()
+    assert dual_basis(())[0] == ()
 
 
 def test_vector_takes_only_integer_entries():
@@ -220,6 +223,13 @@ def test_vector_takes_only_integer_entries():
             vector(bad)
         with pytest.raises(TypeError):
             matrix([(1, 1), bad])
+    # shapes are checked too: rows of one length, one vector entry per row
+    with pytest.raises(ValueError, match="ragged matrix"):
+        matrix([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        dual_basis(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="length mismatch"):
+        vec_mat((1, 2), ((1, 0),))
 
 
 def test_det_against_sympy():
@@ -257,7 +267,7 @@ def test_kernel_spans_brute_solutions():
         for basis in bases:
             for b in basis:
                 assert all(sum(row[j] * b[j] for j in range(n)) == 0 for row in A)
-            assert len(basis) == n - len(independent_rows(A))
+            assert len(basis) == n - fraction_rank(A)
             # the basis is Hermite-canonical, so back-substitution solves on it
             for x in brute_kernel_vectors(A, 2):
                 assert solve_in_hermite_basis(basis, x) is not None
@@ -354,33 +364,38 @@ def test_adjugate_against_sympy():
 
 
 def test_adjugate_det_one_pass():
-    # the one-pass helper against the cofactor adjugate and Bareiss det,
-    # on matrices that need row swaps (zero leading entries) and on
-    # larger entries; singular matrices raise
+    # dual_basis against the cofactor adjugate and Bareiss det of the kept
+    # rows A_P: d is |det A_P| and B the transposed adjugate oriented by
+    # its sign.  Square matrices, some needing row swaps (zero leading
+    # entries), and tall ones, some of rank below n; a rank below n gives
+    # d = 0 and no B
     rng = random.Random(8)
-    swapped = singular = 0
+    swapped = singular = tall = 0
     for _ in range(400):
         n = rng.randint(1, 5)
-        A = random_int_matrix(rng, n, n, -30, 30)
+        k = n if rng.random() < 0.6 else rng.randint(n + 1, n + 3)
+        A = random_int_matrix(rng, k, n, -30, 30)
         if rng.random() < 0.3:
             A = tuple(
                 tuple(0 if rng.random() < 0.5 else e for e in r) for r in A
             )
-        d = det(A)
-        if d == 0:
+        elif n > 1 and rng.random() < 0.2:
+            A = mat_mul(random_int_matrix(rng, k, n - 1, -3, 3), random_int_matrix(rng, n - 1, n, -3, 3))
+        P, d, B = dual_basis(A)
+        if fraction_rank(A) < n:
             singular += 1
-            with pytest.raises(ValueError):
-                adjugate_det(A)
+            assert (d, B) == (0, ()), A
             continue
+        A_P = tuple(A[i] for i in P)
+        sign = 1 if det(A_P) > 0 else -1
+        assert d == sign * det(A_P), A
+        assert B == transpose(tuple(tuple(sign * e for e in r) for r in adjugate(A_P))), A
+        assert mat_mul(B, transpose(A_P)) == tuple(tuple(d * e for e in r) for r in identity_matrix(n))
         swapped += A[0][0] == 0
-        adj, dd = adjugate_det(A)
-        assert dd == d
-        assert adj == adjugate(A), A
-        d_identity = tuple(tuple(d * e for e in r) for r in identity_matrix(n))
-        assert mat_mul(A, adj) == d_identity
-    assert swapped > 10 and singular > 10
-    with pytest.raises(ValueError):
-        adjugate_det(((1, 2),))
+        tall += k > n
+    assert swapped > 10 and singular > 10 and tall > 10
+    assert dual_basis(((1, 2),)) == ((0,), 0, ())
+    assert dual_basis(((0, 1), (0, 2), (1, 0))) == ((0, 2), 1, ((0, 1), (1, 0)))
 
 
 def test_primitive():

@@ -221,10 +221,10 @@ def test_saturation_residues(wedge, ns35):
 
 
 def test_saturation_residues_take_one_adjugate_per_simplex(monkeypatch, wedge, d3):
-    # each simplex keeps the ridge normals triangulate reads off its
-    # adjugate, and its parallelepiped walk reuses them
+    # each simplex keeps the ridge normals triangulate reads off its one
+    # dual_basis pass, and its parallelepiped walk reuses them
     calls = []
-    real = cones.adjugate_det
+    real = cones.dual_basis
 
     def counting(A):
         calls.append(A)
@@ -233,7 +233,7 @@ def test_saturation_residues_take_one_adjugate_per_simplex(monkeypatch, wedge, d
     rng = random.Random(5)
     inputs = [wedge, d3] + [build(random_raw_generators(rng, rank)) for rank in (3, 3, 4, 4)]
     simplices = [len(cones.triangulate(S.cone)) for S in inputs]
-    monkeypatch.setattr(cones, "adjugate_det", counting)
+    monkeypatch.setattr(cones, "dual_basis", counting)
     made = []
     for S in inputs:
         calls.clear()
@@ -490,8 +490,12 @@ def test_recheck_rejects_wrong_residue_lists():
     assert len(witnesses) > 1
     for forged in (witnesses[:1], witnesses[1:], witnesses + witnesses[:1], ()):
         assert not replace(cert, residue_witnesses=forged).recheck(S)
-    # a coefficient list of the wrong length is no witness either
+    # a coefficient list of the wrong length is no witness either, nor
+    # one whose sum is not gamma + rho
     assert not replace(cert, gamma_coeffs=cert.gamma_coeffs + (0,)).recheck(S)
+    rho, coeffs = witnesses[-1]
+    tampered = (coeffs[0] + 1,) + coeffs[1:]
+    assert not replace(cert, residue_witnesses=witnesses[:-1] + ((rho, tampered),)).recheck(S)
 
 
 def test_facet_data_wedge(wedge):

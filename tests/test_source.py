@@ -216,3 +216,34 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"unused imports in the library: {sorted(unused)}"
+
+
+def test_random_geometry_takes_one_elimination_per_simplex(monkeypatch):
+    # the random-geometry workload's cones layer, counted without a timer:
+    # build's support_forms takes one dual_basis pass for its seed simplex
+    # and triangulate one per simplex, the seed included, so over the
+    # workload's seed-5 inputs of pass 0 the operations take 522.  A second
+    # elimination per seed or per simplex fails here
+    workloads = load_perfbench("workloads")
+    cones = importlib.import_module("hslbound.cones")
+    semigroups = importlib.import_module("hslbound.semigroups")
+    calls = []
+    real = cones.dual_basis
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(cones, "dual_basis", counting)
+    total = 0
+    for name, gens in workloads.random_semigroups(5, 0):
+        calls.clear()
+        S = semigroups.build(gens)
+        assert len(calls) == 1, name
+        semigroups.saturation_residues(S)
+        semigroups.n_q(S, semigroups.all_facet_data(S))
+        total += len(calls)
+        calls.clear()
+        subs = cones.triangulate(S.cone)
+        assert len(calls) == len(subs), name
+    assert total == 522
