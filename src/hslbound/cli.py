@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (bound, verify, dim1):
         p.add_argument("--prime", type=int, required=True)
     for p in (analyze, bound, verify):
-        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to examine (>= 1)")
+        p.add_argument("--budget", type=int, default=10000, help="gamma candidates to test (>= 1)")
     for p in (analyze, verify):
         p.add_argument("--format", choices=("json", "table"), default="json")
     verify.add_argument(

@@ -14,11 +14,11 @@ class DimensionMismatchError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The gamma search ran out of candidates before finding a certificate.
+    """The gamma search ran out of budget before finding a certificate.
 
     Carries how far the search got so the failure is reproducible: the
-    number of candidates examined and the largest grading level among
-    them (candidates are not examined in grading order).
+    number of probes popped and the largest grading level among them
+    (probes are not popped in grading order).
     """
 
     def __init__(self, examined: int, max_level: int):

@@ -52,7 +52,7 @@ def vec_sub(u, v):
 
 
 def vec_scale(v, c):
-    return tuple(c * a for a in v)
+    return tuple([c * a for a in v])
 
 
 def identity_matrix(n: int) -> IntMatrix:

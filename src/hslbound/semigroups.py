@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 from operator import add, sub
 
 from .cones import Cone, is_pointed, parallelepiped_points, sign_vector, triangulate
@@ -29,6 +30,7 @@ from .intlinalg import (
     solve_in_hermite_basis,
     vec_add,
     vec_mat,
+    vec_scale,
     vector,
 )
 
@@ -36,7 +38,7 @@ from .intlinalg import (
 class _AperyTable:
     """The least grading of the semigroup on each line c + Z·u(e).
 
-    e is the generator of least grading (ties to the lowest index) and
+    e is the generator of least grading (ties to the lowest index, j) and
     lines are keyed by c - floor(c_i / u_i(e))·u(e) for the fixed i where
     u(e) is largest.  The semigroup meets a line in {q + t·u(e) : t >= 0}
     or not at all, and the least element q uses no e, so the table is a
@@ -48,13 +50,14 @@ class _AperyTable:
     readies both, once per generator step or search residue.
     """
 
-    __slots__ = ("_e", "_i", "_steps", "_least", "_heap")
+    __slots__ = ("j", "_e", "_i", "_top", "_steps", "_least", "_heap")
 
     def __init__(self, generator_forms: IntMatrix):
         gradings = [sum(g) for g in generator_forms]
-        j = gradings.index(min(gradings))
+        j = self.j = gradings.index(min(gradings))
         e = self._e = generator_forms[j]
         self._i = e.index(max(e))
+        self._top = max(gradings)
         self._steps = [self.reduce(g) for k, g in enumerate(generator_forms) if k != j]
         zero = (0,) * len(e)
         self._least = {zero: 0}
@@ -84,12 +87,28 @@ class _AperyTable:
                     least[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
 
-    def holds(self, level, key, r) -> bool:
-        """contains(c + rho), c of grading level and line key; r = reduce(rho)."""
+    def least_bound(self, level, key, r):
+        """A lower bound on the least grading of the line of c + rho (c of
+        grading level and line key, r = reduce(rho)), exact if at most
+        level + sum(rho): the table settles that far, and past it the
+        frontier's top bounds every line."""
         level += r[0]
-        self.settle(level)
+        heap = self._heap
+        if heap and heap[0][0] <= level:
+            self.settle(level)
         line = tuple(map(add, key, r[2] if key[self._i] >= r[3] else r[1]))
-        return self._least.get(line, level + 1) <= level
+        return min(self._least.get(line, inf), heap[0][0] if heap else inf)
+
+    def tree(self, line, level):
+        """(k, line') for each step k (the generators but e) from the least
+        point of line, of grading level, to the least point of line'."""
+        self.settle(level + self._top)
+        least = self._least
+        r = line[self._i]
+        for k, (grade, low, high, carry) in enumerate(self._steps):
+            nxt = tuple(map(add, line, high if r >= carry else low))
+            if least.get(nxt) == level + grade:
+                yield k, nxt
 
     def contains(self, c: IntVector) -> bool:
         """c is in the semigroup.  c must be a point of the cone (entries
@@ -298,19 +317,20 @@ def _residues(S: AffineSemigroup):
     return residues, values, [S._apery.reduce(r) for r in values]
 
 
-def _valid(table: _AperyTable, values, reduced: list) -> bool:
-    """gamma + rho is in the semigroup for each reduced residue rho, by
-    table.holds; no answer is cached.  A failing residue moves to the
-    front of reduced, to be tried first next time (order is moot).
+def _valid(table: _AperyTable, level, key, reduced: list):
+    """None when gamma (grading level, line key) passes: gamma + rho is in
+    the semigroup for every reduced residue rho; nothing is cached.  Else
+    the failing rho moves to the front of reduced, and the result is the
+    grading below which each gamma + k·u(e) fails on it too, as
+    gamma + k·u(e) + rho lies on the line of gamma + rho.
     """
-    level = sum(values)
-    key = table.key(values)
     for k, r in enumerate(reduced):
-        if not table.holds(level, key, r):
+        below = table.least_bound(level, key, r) - r[0]
+        if below > level:
             if k:
                 reduced.insert(0, reduced.pop(k))
-            return False
-    return True
+            return below
+    return None
 
 
 def _certify(S, gamma, values, residues, residue_values) -> GammaCertificate:
@@ -331,7 +351,9 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     gamma = vector(gamma)
     values = sign_vector(S.cone, gamma)
     residues, residue_values, reduced = _residues(S)
-    if not _contains(S, values) or not _valid(S._apery, values, reduced):
+    if not _contains(S, values):
+        return None
+    if _valid(S._apery, sum(values), S._apery.key(values), reduced) is not None:
         return None
     return _certify(S, gamma, values, residues, residue_values)
 
@@ -340,46 +362,52 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     """The certificate of the valid gamma with the least key
     (max_i u_i(gamma), grading . gamma, gamma).
 
-    Candidates are generator sums, popped best-first by that key.  Every
-    support form is nonnegative, and the grading positive, on every
-    generator, so a generator step strictly raises the key: candidates pop
-    in key order, and the first one that passes (gamma + rho in the
-    semigroup for every residue rho) is optimal.  A candidate carries its
-    support-form vector, the sum of its generators' vectors, and is in
-    the semigroup by construction, so only gamma + rho is tested, by
-    _valid, the residue that failed last first (nearby candidates tend
-    to fail on the same one).  No answer is cached; the frontier is
-    freed before one walk builds the winner's witnesses.
+    The semigroup is the disjoint union of chains h + N·e, h the least
+    point (head) of an Apéry line.  A head is pushed when its parent in
+    the table's shortest-path tree pops (table.tree), any other point by
+    the probe before it on its chain: each point at most once, and each
+    push raises the key, so probes pop in key order and the first that
+    passes _valid is optimal.  A failed probe's chain resumes at its first
+    point of grading at least what _valid returns; the residue order
+    changes the probes, not the winner.  No answer is cached, and the
+    frontier is freed before one walk builds the winner's witnesses.
 
-    budget is the number of candidates popped.  When it runs out first,
+    budget is the number of probes popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level
     popped.
     """
     residues, residue_values, reduced = _residues(S)
-    steps = [
-        (step_values, dot(S.grading, g), g)
-        for step_values, g in zip(S.cone.generator_forms, S.generators)
-    ]
-    # entries are (max facet value, grading level, gamma, facet values)
-    heap = [(0, 0, S.zero, (0,) * len(S.support_forms))]
-    seen = {S.zero}
+    table = S._apery
+    steps = [(g, u, sum(u)) for g, u in zip(S.generators, S.cone.generator_forms)]
+    e, e_values, e_level = steps.pop(table.j)
+    zero = (0,) * len(S.support_forms)
+    # entries are (max facet value, grading level, gamma, facet values, line, is head)
+    heap = [(0, 0, S.zero, zero, zero, True)]
+    heads = {zero}
     examined = 0
     max_level = 0
     while heap and examined < budget:
-        _, level, gamma, values = heapq.heappop(heap)
+        _, level, gamma, values, line, head = heapq.heappop(heap)
         examined += 1
         max_level = max(max_level, level)
-        if _valid(S._apery, values, reduced):
+        if head:
+            for k, nxt in table.tree(line, level):
+                if nxt not in heads:
+                    heads.add(nxt)
+                    g, u, grade = steps[k]
+                    w = vec_add(values, u)
+                    heapq.heappush(heap, (max(w), level + grade, vec_add(gamma, g), w, nxt, True))
+        below = _valid(table, level, line, reduced)
+        if below is None:
             break
-        for step_values, step_level, g in steps:
-            nxt = vec_add(gamma, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                nxt_values = vec_add(values, step_values)
-                heapq.heappush(heap, (max(nxt_values), level + step_level, nxt, nxt_values))
+        if below < inf:
+            t = (below - level - 1) // e_level + 1
+            w = vec_add(values, vec_scale(e_values, t))
+            gamma = vec_add(gamma, vec_scale(e, t))
+            heapq.heappush(heap, (max(w), level + t * e_level, gamma, w, line, False))
     else:
         raise BudgetExhaustedError(examined, max_level)
-    del heap, seen
+    del heap, heads
     return _certify(S, gamma, values, residues, residue_values)
 
 

@@ -12,7 +12,9 @@ library does in bulk, or no longer does at all; so is the cofactor
 Frobenius order off a Smith decomposition taken from sympy, which the
 library replaced by zero_class's lattice test at every level;
 `greedy_express` is the one-walk-per-call form of the shared walk that
-builds gamma certificates, on brute membership.  The
+builds gamma certificates, on brute membership, and
+`generator_sum_gamma` is the gamma search over every generator sum that
+the chain search replaced.  The
 matrix products, `transpose`, the Bareiss `det` and `sat_member` are
 here because only the tests read them.
 """
@@ -37,6 +39,7 @@ from hslbound.intlinalg import (
     vec_scale,
     vec_sub,
 )
+from hslbound.semigroups import saturation_residues, verify_gamma
 
 
 def transpose(A):
@@ -311,6 +314,32 @@ def semigroup_elements_upto(gens, grading, cap):
                 seen.add(w)
                 heapq.heappush(heap, (lw, w))
     return seen
+
+
+def generator_sum_gamma(S, budget=10000):
+    """The certificate of the first valid gamma in key order (max_i
+    u_i(gamma), grading . gamma, gamma), or None when budget candidates
+    fail: the gamma search as a best-first walk over every generator sum,
+    with a set of the sums seen, each candidate's residues asked of the
+    Apéry table one by one, and verify_gamma's certificate of the winner.
+    """
+    residues = [sign_vector(S.cone, rho) for rho in saturation_residues(S).residues]
+    steps = [(u, dot(S.grading, g), g) for u, g in zip(S.cone.generator_forms, S.generators)]
+    heap = [(0, 0, S.zero, (0,) * len(S.support_forms))]
+    seen = {S.zero}
+    for _ in range(budget):
+        if not heap:
+            break
+        _, level, gamma, values = heapq.heappop(heap)
+        if all(S._apery.contains(vec_add(values, rho)) for rho in residues):
+            return verify_gamma(S, gamma)
+        for step_values, step_level, g in steps:
+            nxt = vec_add(gamma, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                nxt_values = vec_add(values, step_values)
+                heapq.heappush(heap, (max(nxt_values), level + step_level, nxt, nxt_values))
+    return None
 
 
 def greedy_express(gens, grading, v):

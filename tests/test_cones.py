@@ -206,6 +206,22 @@ def test_triangulate_orthant():
     assert len(subs) == 1 and subs[0].determinant == 1
 
 
+def test_triangulate_rejects_a_cone_with_a_line():
+    # the upper half-plane contains the line through (1, 0)
+    c = Cone.from_generators(((1, 0), (-1, 0), (0, 1)), 2)
+    assert c.extreme_ray_reps == ()
+    with pytest.raises(ValueError, match="needs a pointed cone"):
+        triangulate(c)
+
+
+def test_triangulate_rejects_rays_of_lower_rank():
+    # from_generators never builds this: rank-1 generators already fail in
+    # support_forms, so the cone is made by hand, two rays on one line of Z^2
+    c = Cone(2, ((1, 0), (2, 0)), ((0, 1), (0, -1)), (0, 1), ((0, 1), (0, 1)), ((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        triangulate(c)
+
+
 def test_triangulate_square_cone_splits_in_two():
     gens = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
     c = Cone.from_generators(gens, 3)

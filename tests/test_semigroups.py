@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -33,6 +34,7 @@ from hslbound.semigroups import (
     verify_gamma,
 )
 from oracles import (
+    generator_sum_gamma,
     greedy_express,
     random_raw_generators,
     random_signed_generators,
@@ -300,11 +302,13 @@ def test_find_gamma(wedge, ns35, ns23, ns479):
 def test_find_gamma_budget():
     with pytest.raises(BudgetExhaustedError):
         find_gamma(build(((3,), (5,))), budget=0)
-    # candidates 0, 3, 5, 6 fail; 8 would be the fifth pop
+    # probes 0 and 5 fail: 0 + 1 rules out its chain 0 + 3N below 9,
+    # past the least 10 of the line of 1, and 5 + 2 rules out 5 + 3N
+    # below 8, so 8 is the third probe
     with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(build(((3,), (5,))), budget=4)
-    assert info.value.examined == 4 and info.value.max_level == 6
-    assert find_gamma(build(((3,), (5,))), budget=5).gamma == (8,)
+        find_gamma(build(((3,), (5,))), budget=2)
+    assert info.value.examined == 2 and info.value.max_level == 5
+    assert find_gamma(build(((3,), (5,))), budget=3).gamma == (8,)
 
 
 def wedge_gens(k):
@@ -336,13 +340,15 @@ D4_GENS = (
 
 
 @pytest.mark.parametrize(
-    "name, m_q", [("W_9", 441), ("W_11", 891), ("D3", 2), ("D4", 4)]
+    "name, m_q", [("W_9", 441), ("W_11", 891), ("D3", 2), ("D4", 4), ("R3", 114)]
 )
 def test_ladder_certificates(name, m_q, d3):
     # the search tests the residue that failed last first; the certificate
     # must be the one verify_gamma builds in canonical order on a fresh
-    # semigroup
+    # semigroup.  R3's optimum is the 27,036th generator sum in key order
+    # and the chain search's 6,552nd probe, within the default budget
     gens = {"W_9": wedge_gens(9), "W_11": wedge_gens(11), "D3": d3.raw_generators, "D4": D4_GENS}
+    gens["R3"] = ((1, 0, 3), (5, 3, 3), (3, 5, 3), (2, 4, 2))
     S = build(gens[name])
     cert = find_gamma(S)
     assert cert.m_q == m_q
@@ -353,34 +359,55 @@ def test_ladder_certificates(name, m_q, d3):
 def test_find_gamma_w13_optimal_at_default_budget():
     # in grading order the optimum lies beyond the first 10000 candidates
     # (the first valid one there has m_Q 1579); in key order it is the
-    # 4433rd
+    # 4433rd generator sum, and the 2189th probe of the chain search
     S = build(wedge_gens(13))
     cert = find_gamma(S)
     assert cert.m_q == 1573 and cert.gamma == (142, 131)
     assert cert.recheck(S)
-    # a budget one short of it runs out at grading level 3123
-    assert find_gamma(build(wedge_gens(13)), budget=4433) == cert
+    # a budget one short of it runs out at grading level 3100
+    assert find_gamma(build(wedge_gens(13)), budget=2189) == cert
     with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(build(wedge_gens(13)), budget=4432)
-    assert info.value.examined == 4432 and info.value.max_level == 3123
+        find_gamma(build(wedge_gens(13)), budget=2188)
+    assert info.value.examined == 2188 and info.value.max_level == 3100
+
+
+def test_find_gamma_matches_the_generator_sum_search(d3, wedge, index2):
+    # the chain search skips only points whose failure is proven, so it
+    # returns the certificate of the best-first walk over every generator
+    # sum: on the benchmark ladder, W_13 and the seeded rank 1-3 inputs
+    # whose walk ends within 2000 candidates
+    inputs = [wedge.raw_generators, index2.raw_generators, ((3,), (5,)), d3.raw_generators, D4_GENS]
+    inputs += [wedge_gens(k) for k in (5, 7, 9, 11, 13)]
+    for seed, rank in product(range(50), (1, 2, 3)):
+        inputs.append(random_raw_generators(random.Random(seed), rank))
+        inputs.append(random_signed_generators(random.Random(seed), rank, 2))
+    compared = Counter()
+    for gens in inputs:
+        S = build(gens)
+        expected = generator_sum_gamma(S, budget=2000)
+        if expected is not None:
+            assert repr(find_gamma(build(gens))) == repr(expected), gens
+            compared[S.dim] += 1
+    assert compared == {1: 103, 2: 103, 3: 86, 4: 1}, compared
 
 
 def test_find_gamma_caches_no_answers(monkeypatch):
-    # the search asks the Apéry table directly, one lookup (holds) per
-    # residue tried (571 on W_7, a count that moves with the candidate or
-    # residue order); only the winner's witnesses go through _contains
-    # and its cache, and _certify is stubbed out here
+    # the search asks the Apéry table directly, one lookup (least_bound)
+    # per residue tried (482 on W_7, a count that moves with the probe
+    # or residue order); only the winner's witnesses go through _contains
+    # and its cache, and _certify is stubbed out here.  W_17 certifies on
+    # its 6037th probe, so a budget one short of it runs out
     S = build(wedge_gens(17))
     with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(S)
-    assert (info.value.examined, info.value.max_level) == (10000, 6891) and S._memo == {}
+        find_gamma(S, budget=6036)
+    assert (info.value.examined, info.value.max_level) == (6036, 7588) and S._memo == {}
     calls = Counter()
-    holds = semigroups._AperyTable.holds
+    least_bound = semigroups._AperyTable.least_bound
     contains = semigroups._contains
 
-    def counting_holds(table, level, key, r):
-        calls["holds"] += 1
-        return holds(table, level, key, r)
+    def counting_lookups(table, level, key, r):
+        calls["lookups"] += 1
+        return least_bound(table, level, key, r)
 
     def counting(S, c):
         calls["_contains"] += 1
@@ -388,10 +415,10 @@ def test_find_gamma_caches_no_answers(monkeypatch):
 
     def certify(*args):
         calls["certified"] += 1
-        assert calls == {"holds": 571, "certified": 1}, calls
+        assert calls == {"lookups": 482, "certified": 1}, calls
         return args
 
-    monkeypatch.setattr(semigroups._AperyTable, "holds", counting_holds)
+    monkeypatch.setattr(semigroups._AperyTable, "least_bound", counting_lookups)
     monkeypatch.setattr(semigroups, "_contains", counting)
     monkeypatch.setattr(semigroups, "_certify", certify)
     S = build(wedge_gens(7))
@@ -449,10 +476,12 @@ def test_certificate_witnesses_match_one_walk_per_point(d3):
 
 
 def test_reduced_residue_lookup_against_contains():
-    # holds(level, key(c), reduce(r)) on the line keys of c and r must
-    # answer contains(c + r), asked of a second table, whether the keys'
-    # i-th entries sum below u_i(e) or reach it
-    kinds = Counter()
+    # least_bound(level, key(c), reduce(r)) on the line keys of c and r
+    # must answer contains(c + r), asked of a second table, whether the
+    # keys' i-th entries sum below u_i(e) or reach it: c + r is in iff the
+    # bound is at most its grading, and the bound is a lower bound on the
+    # least grading of the line, exact when c + r is in
+    kinds, ends = Counter(), Counter()
     for seed, rank in product(range(6), (2, 3)):
         rng = random.Random(seed)
         gens = random_raw_generators(rng, rank)
@@ -469,10 +498,20 @@ def test_reduced_residue_lookup_against_contains():
                 continue
             r = rng.choice(residues)
             key = table.key(c)
-            answer = table.holds(sum(c), key, table.reduce(r))
+            level = sum(c) + sum(r)
+            bound = table.least_bound(sum(c), key, table.reduce(r))
+            answer = bound <= level
             assert answer == other.contains(vec_add(c, r)), (gens, c, r)
+            if bound < math.inf:
+                # the line's least grading, from the second table settled
+                # up to the bound: no member of the line lies below it
+                other.settle(bound)
+                least = other._least.get(other.key(vec_add(c, r)), math.inf)
+                assert least == bound if answer else least >= bound, (gens, c, r)
+                ends[answer, least == bound] += 1
             kinds[key[table._i] + table.key(r)[table._i] >= e_i, answer] += 1
     assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+    assert min(ends[True, True], ends[False, False]) >= 20, ends
 
 
 def test_recheck_rejects_forged_facet_values():
