@@ -10,9 +10,9 @@ constant N_Q (largest prime dividing any invariant factor).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from math import inf
 from operator import add, sub
 
@@ -30,7 +30,6 @@ from .intlinalg import (
     solve_in_hermite_basis,
     vec_add,
     vec_mat,
-    vec_scale,
     vector,
 )
 
@@ -44,13 +43,13 @@ class _AperyTable:
     or not at all, and the least element q uses no e, so the table is a
     shortest-path search from the line of 0 with one edge per other
     generator, weighted by its grading (the Apéry set along e).
-    settle(G) pops it until every heap entry exceeds G, when each line of
-    least grading at most G is final.  The key of c + r is the sum of
-    theirs, less u(e) if their i-th entries reach u_i(e); reduce(r)
-    readies both, once per generator step or search residue.
+    settle(G) pops it until every heap entry exceeds G (an inf entry ends
+    it), when each line of least grading at most G is final.  The key of
+    c + r is the sum of theirs, less u(e) if their i-th entries reach
+    u_i(e); reduce(r) readies both, once per generator step or residue.
     """
 
-    __slots__ = ("j", "_e", "_i", "_top", "_steps", "_least", "_heap")
+    __slots__ = ("j", "_e", "_i", "_top", "_least_step", "_steps", "_least", "_heap")
 
     def __init__(self, generator_forms: IntMatrix):
         gradings = [sum(g) for g in generator_forms]
@@ -59,9 +58,10 @@ class _AperyTable:
         self._i = e.index(max(e))
         self._top = max(gradings)
         self._steps = [self.reduce(g) for k, g in enumerate(generator_forms) if k != j]
+        self._least_step = min([s[0] for s in self._steps], default=inf)
         zero = (0,) * len(e)
         self._least = {zero: 0}
-        self._heap = [(0, zero)]
+        self._heap = [(0, zero), (inf, ())]
 
     def key(self, c: IntVector) -> IntVector:
         t = c[self._i] // self._e[self._i]
@@ -75,8 +75,8 @@ class _AperyTable:
     def settle(self, level: int) -> None:
         least = self._least
         heap = self._heap
-        while heap and heap[0][0] <= level:
-            d, line = heapq.heappop(heap)
+        while heap[0][0] <= level:
+            d, line = heappop(heap)
             if d > least[line]:
                 continue
             r = line[self._i]
@@ -85,19 +85,32 @@ class _AperyTable:
                 nd = d + grade
                 if nd < least.get(nxt, nd + 1):
                     least[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
+                    heappush(heap, (nd, nxt))
 
-    def least_bound(self, level, key, r):
-        """A lower bound on the least grading of the line of c + rho (c of
-        grading level and line key, r = reduce(rho)), exact if at most
-        level + sum(rho): the table settles that far, and past it the
-        frontier's top bounds every line."""
-        level += r[0]
+    def first_failure(self, level, key, reduced: list):
+        """None if c (grading level, line key) passes: c + rho is in for
+        each reduce(rho) in reduced.  Else the failing rho moves to the
+        front and the result is b - sum(rho), b = min(least.get(line, inf),
+        top + s) for s the least step grading and top the frontier's, stale
+        or not.  b exceeds the grading of c + rho, which the table settles
+        to, and bounds the least grading on its line, so chain points
+        c + k·u(e) below b fail too: a shortest path to an unsettled line
+        enters the frontier at L', least[L'] = d(L') >= top, and stops or
+        takes a step.
+        """
+        least = self._least
         heap = self._heap
-        if heap and heap[0][0] <= level:
-            self.settle(level)
-        line = tuple(map(add, key, r[2] if key[self._i] >= r[3] else r[1]))
-        return min(self._least.get(line, inf), heap[0][0] if heap else inf)
+        ki = key[self._i]
+        for k, (grade, low, high, carry) in enumerate(reduced):
+            top = level + grade
+            if heap[0][0] <= top:
+                self.settle(top)
+            b = least.get(tuple(map(add, key, high if ki >= carry else low)), inf)
+            if b > top:
+                if k:
+                    reduced.insert(0, reduced.pop(k))
+                return min(b, heap[0][0] + self._least_step) - grade
+        return None
 
     def tree(self, line, level):
         """(k, line') for each step k (the generators but e) from the least
@@ -114,7 +127,7 @@ class _AperyTable:
         """c is in the semigroup.  c must be a point of the cone (entries
         >= 0); _contains checks that first."""
         level = sum(c)
-        if self._heap and self._heap[0][0] <= level:
+        if self._heap[0][0] <= level:
             self.settle(level)
         return self._least.get(self.key(c), level + 1) <= level
 
@@ -311,26 +324,10 @@ class GammaCertificate:
 
 def _residues(S: AffineSemigroup):
     """The residues by grading, then lexicographically, their form vectors,
-    and those reduced for _valid, which reorders that list."""
+    and those reduced for first_failure, which reorders that list."""
     residues = sorted(saturation_residues(S).residues, key=lambda r: (dot(S.grading, r), r))
     values = [sign_vector(S.cone, rho) for rho in residues]
     return residues, values, [S._apery.reduce(r) for r in values]
-
-
-def _valid(table: _AperyTable, level, key, reduced: list):
-    """None when gamma (grading level, line key) passes: gamma + rho is in
-    the semigroup for every reduced residue rho; nothing is cached.  Else
-    the failing rho moves to the front of reduced, and the result is the
-    grading below which each gamma + k·u(e) fails on it too, as
-    gamma + k·u(e) + rho lies on the line of gamma + rho.
-    """
-    for k, r in enumerate(reduced):
-        below = table.least_bound(level, key, r) - r[0]
-        if below > level:
-            if k:
-                reduced.insert(0, reduced.pop(k))
-            return below
-    return None
 
 
 def _certify(S, gamma, values, residues, residue_values) -> GammaCertificate:
@@ -346,14 +343,14 @@ def verify_gamma(S: AffineSemigroup, gamma) -> GammaCertificate | None:
     splits as q + rho with q in the semigroup, so gamma + s =
     (gamma + rho) + q.  Conversely each rho is itself a saturation point.
     gamma is arbitrary, so _contains asks its own membership first,
-    rejecting a negative form value before _valid's table lookups.
+    rejecting a negative form value before first_failure's lookups.
     """
     gamma = vector(gamma)
     values = sign_vector(S.cone, gamma)
     residues, residue_values, reduced = _residues(S)
     if not _contains(S, values):
         return None
-    if _valid(S._apery, sum(values), S._apery.key(values), reduced) is not None:
+    if S._apery.first_failure(sum(values), S._apery.key(values), reduced) is not None:
         return None
     return _certify(S, gamma, values, residues, residue_values)
 
@@ -367,10 +364,10 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     the table's shortest-path tree pops (table.tree), any other point by
     the probe before it on its chain: each point at most once, and each
     push raises the key, so probes pop in key order and the first that
-    passes _valid is optimal.  A failed probe's chain resumes at its first
-    point of grading at least what _valid returns; the residue order
-    changes the probes, not the winner.  No answer is cached, and the
-    frontier is freed before one walk builds the winner's witnesses.
+    passes table.first_failure is optimal.  A failed probe's chain resumes
+    at its first point of grading at least what that returns; the residue
+    order changes the probes, not the winner.  No answer is cached, and
+    the frontier is freed before one walk builds the winner's witnesses.
 
     budget is the number of probes popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level
@@ -378,6 +375,8 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     """
     residues, residue_values, reduced = _residues(S)
     table = S._apery
+    first_failure = table.first_failure
+    pop, push = heappop, heappush
     steps = [(g, u, sum(u)) for g, u in zip(S.generators, S.cone.generator_forms)]
     e, e_values, e_level = steps.pop(table.j)
     zero = (0,) * len(S.support_forms)
@@ -387,7 +386,7 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     examined = 0
     max_level = 0
     while heap and examined < budget:
-        _, level, gamma, values, line, head = heapq.heappop(heap)
+        _, level, gamma, values, line, head = pop(heap)
         examined += 1
         max_level = max(max_level, level)
         if head:
@@ -395,16 +394,16 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
                 if nxt not in heads:
                     heads.add(nxt)
                     g, u, grade = steps[k]
-                    w = vec_add(values, u)
-                    heapq.heappush(heap, (max(w), level + grade, vec_add(gamma, g), w, nxt, True))
-        below = _valid(table, level, line, reduced)
+                    w = tuple(map(add, values, u))
+                    push(heap, (max(w), level + grade, tuple(map(add, gamma, g)), w, nxt, True))
+        below = first_failure(level, line, reduced)
         if below is None:
             break
         if below < inf:
             t = (below - level - 1) // e_level + 1
-            w = vec_add(values, vec_scale(e_values, t))
-            gamma = vec_add(gamma, vec_scale(e, t))
-            heapq.heappush(heap, (max(w), level + t * e_level, gamma, w, line, False))
+            w = tuple([a + t * b for a, b in zip(values, e_values)])
+            gamma = tuple([a + t * b for a, b in zip(gamma, e)])
+            push(heap, (max(w), level + t * e_level, gamma, w, line, False))
     else:
         raise BudgetExhaustedError(examined, max_level)
     del heap, heads

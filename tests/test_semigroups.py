@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -337,6 +338,7 @@ def test_find_gamma_is_optimal_against_enumeration(name, request):
 D4_GENS = (
     (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (2, 1, 0, 1), (0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 1, 2)
 )
+R3_GENS = ((1, 0, 3), (5, 3, 3), (3, 5, 3), (2, 4, 2))
 
 
 @pytest.mark.parametrize(
@@ -346,9 +348,9 @@ def test_ladder_certificates(name, m_q, d3):
     # the search tests the residue that failed last first; the certificate
     # must be the one verify_gamma builds in canonical order on a fresh
     # semigroup.  R3's optimum is the 27,036th generator sum in key order
-    # and the chain search's 6,552nd probe, within the default budget
+    # and the chain search's 6,349th probe, within the default budget
     gens = {"W_9": wedge_gens(9), "W_11": wedge_gens(11), "D3": d3.raw_generators, "D4": D4_GENS}
-    gens["R3"] = ((1, 0, 3), (5, 3, 3), (3, 5, 3), (2, 4, 2))
+    gens["R3"] = R3_GENS
     S = build(gens[name])
     cert = find_gamma(S)
     assert cert.m_q == m_q
@@ -359,16 +361,16 @@ def test_ladder_certificates(name, m_q, d3):
 def test_find_gamma_w13_optimal_at_default_budget():
     # in grading order the optimum lies beyond the first 10000 candidates
     # (the first valid one there has m_Q 1579); in key order it is the
-    # 4433rd generator sum, and the 2189th probe of the chain search
+    # 4433rd generator sum, and the 1783rd probe of the chain search
     S = build(wedge_gens(13))
     cert = find_gamma(S)
     assert cert.m_q == 1573 and cert.gamma == (142, 131)
     assert cert.recheck(S)
     # a budget one short of it runs out at grading level 3100
-    assert find_gamma(build(wedge_gens(13)), budget=2189) == cert
+    assert find_gamma(build(wedge_gens(13)), budget=1783) == cert
     with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(build(wedge_gens(13)), budget=2188)
-    assert info.value.examined == 2188 and info.value.max_level == 3100
+        find_gamma(build(wedge_gens(13)), budget=1782)
+    assert info.value.examined == 1782 and info.value.max_level == 3100
 
 
 def test_find_gamma_matches_the_generator_sum_search(d3, wedge, index2):
@@ -392,22 +394,26 @@ def test_find_gamma_matches_the_generator_sum_search(d3, wedge, index2):
 
 
 def test_find_gamma_caches_no_answers(monkeypatch):
-    # the search asks the Apéry table directly, one lookup (least_bound)
-    # per residue tried (482 on W_7, a count that moves with the probe
-    # or residue order); only the winner's witnesses go through _contains
-    # and its cache, and _certify is stubbed out here.  W_17 certifies on
-    # its 6037th probe, so a budget one short of it runs out
+    # the search asks the Apéry table directly, one first_failure call
+    # per probe and one lookup per residue tried (138 and 420 on W_7,
+    # counts that move with the probe or residue order); only the
+    # winner's witnesses go through _contains and its cache, and _certify
+    # is stubbed out here.  W_17 certifies on its 4899th probe, so a
+    # budget one short of it runs out
     S = build(wedge_gens(17))
     with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(S, budget=6036)
-    assert (info.value.examined, info.value.max_level) == (6036, 7588) and S._memo == {}
+        find_gamma(S, budget=4898)
+    assert (info.value.examined, info.value.max_level) == (4898, 7588) and S._memo == {}
     calls = Counter()
-    least_bound = semigroups._AperyTable.least_bound
+    first_failure = semigroups._AperyTable.first_failure
     contains = semigroups._contains
 
-    def counting_lookups(table, level, key, r):
-        calls["lookups"] += 1
-        return least_bound(table, level, key, r)
+    def counting_lookups(table, level, key, reduced):
+        before = list(reduced)
+        below = first_failure(table, level, key, reduced)
+        calls["probes"] += 1
+        calls["lookups"] += len(before) if below is None else before.index(reduced[0]) + 1
+        return below
 
     def counting(S, c):
         calls["_contains"] += 1
@@ -415,15 +421,94 @@ def test_find_gamma_caches_no_answers(monkeypatch):
 
     def certify(*args):
         calls["certified"] += 1
-        assert calls == {"lookups": 482, "certified": 1}, calls
+        assert calls == {"probes": 138, "lookups": 420, "certified": 1}, calls
         return args
 
-    monkeypatch.setattr(semigroups._AperyTable, "least_bound", counting_lookups)
+    monkeypatch.setattr(semigroups._AperyTable, "first_failure", counting_lookups)
     monkeypatch.setattr(semigroups, "_contains", counting)
     monkeypatch.setattr(semigroups, "_certify", certify)
     S = build(wedge_gens(7))
     find_gamma(S)
     assert calls["certified"] == 1 and S._memo == {}
+
+
+def ladder_inputs(d3, index2):
+    # the benchmark's analyze ladder; wedge2d is W_5
+    inputs = {f"W_{k}": wedge_gens(k) for k in (5, 7, 9, 11)}
+    inputs.update(index2_facet=index2.raw_generators, numerical_3_5=((3,), (5,)))
+    inputs.update(D3=d3.raw_generators, D4=D4_GENS)
+    return inputs
+
+
+def test_first_failure_bounds_against_a_settled_table(monkeypatch, d3, index2):
+    # each failure's bound b (the result plus the failing residue's
+    # grading) against the least grading d of its line, read from a second
+    # table settled up to b: b = d when the first table holds the line at
+    # most its frontier top, and b <= d otherwise, where the top plus the
+    # least step grading also bounds d.  On the ladder, <3, 5> (rank 1,
+    # where the frontier empties) among it, and the seeded rank 1-3 inputs
+    # of seeds 0-9; a frontier bound one more fails on seed 0's signed
+    # rank-2 input
+    real = semigroups._AperyTable.first_failure
+    tally = Counter()
+
+    def checked(table, level, key, reduced):
+        below = real(table, level, key, reduced)
+        if below is not None and below < math.inf:
+            grade, low, high, carry = reduced[0]
+            line = tuple(map(add, key, high if key[table._i] >= carry else low))
+            bound = below + grade
+            other.settle(bound)
+            least = other._least.get(line, math.inf)
+            settled = table._least.get(line, math.inf) <= table._heap[0][0]
+            assert least == bound if settled else least >= bound, (table._e, level, key)
+            tally[settled, least == bound] += 1
+        return below
+
+    monkeypatch.setattr(semigroups._AperyTable, "first_failure", checked)
+    inputs = list(ladder_inputs(d3, index2).values())
+    for seed, rank in product(range(10), (1, 2, 3)):
+        inputs.append(random_raw_generators(random.Random(seed), rank))
+        inputs.append(random_signed_generators(random.Random(seed), rank, 2))
+    for gens in inputs:
+        other = build(gens)._apery
+        try:
+            find_gamma(build(gens), budget=2000)
+        except BudgetExhaustedError:
+            pass
+    assert min(tally[True, True], tally[False, True], tally[False, False]) > 0, tally
+
+
+def test_search_work_per_ladder_input(monkeypatch, d3, index2):
+    # probes (first_failure calls) and Apéry table lines after find_gamma
+    # returns: the search's work as numbers, for later changes to move.
+    # The generator-sum search took 45, 245, 819 and 2,079 candidates on
+    # W_5 to W_11 and 27,036 on R3; the frontier top alone as the bound of
+    # an unsettled line took 35, 173, 517, 1,173 and 6,552 probes
+    probes = Counter()
+    real = semigroups._AperyTable.first_failure
+
+    def counting(table, *args):
+        probes[table] += 1
+        return real(table, *args)
+
+    monkeypatch.setattr(semigroups._AperyTable, "first_failure", counting)
+    work = {}
+    for name, gens in dict(ladder_inputs(d3, index2), R3=R3_GENS).items():
+        S = build(gens)
+        find_gamma(S)
+        work[name] = probes[S._apery], len(S._apery._least)
+    assert work == {
+        "W_5": (29, 92),
+        "W_7": (138, 284),
+        "W_9": (418, 636),
+        "W_11": (929, 1196),
+        "index2_facet": (2, 9),
+        "numerical_3_5": (3, 3),
+        "D3": (2, 66),
+        "D4": (21, 421),
+        "R3": (6349, 9456),
+    }, work
 
 
 @pytest.mark.parametrize(
@@ -476,11 +561,11 @@ def test_certificate_witnesses_match_one_walk_per_point(d3):
 
 
 def test_reduced_residue_lookup_against_contains():
-    # least_bound(level, key(c), reduce(r)) on the line keys of c and r
+    # first_failure(level, key(c), [reduce(r)]) on the line keys of c and r
     # must answer contains(c + r), asked of a second table, whether the
-    # keys' i-th entries sum below u_i(e) or reach it: c + r is in iff the
-    # bound is at most its grading, and the bound is a lower bound on the
-    # least grading of the line, exact when c + r is in
+    # keys' i-th entries sum below u_i(e) or reach it: c + r is in iff it
+    # returns None, and otherwise it returns b - sum(r), b a lower bound
+    # on the least grading of the line of c + r, above c + r's grading
     kinds, ends = Counter(), Counter()
     for seed, rank in product(range(6), (2, 3)):
         rng = random.Random(seed)
@@ -499,19 +584,21 @@ def test_reduced_residue_lookup_against_contains():
             r = rng.choice(residues)
             key = table.key(c)
             level = sum(c) + sum(r)
-            bound = table.least_bound(sum(c), key, table.reduce(r))
-            answer = bound <= level
+            below = table.first_failure(sum(c), key, [table.reduce(r)])
+            answer = below is None
             assert answer == other.contains(vec_add(c, r)), (gens, c, r)
-            if bound < math.inf:
+            if not answer and below < math.inf:
                 # the line's least grading, from the second table settled
                 # up to the bound: no member of the line lies below it
+                bound = below + sum(r)
+                assert bound > level, (gens, c, r)
                 other.settle(bound)
                 least = other._least.get(other.key(vec_add(c, r)), math.inf)
-                assert least == bound if answer else least >= bound, (gens, c, r)
-                ends[answer, least == bound] += 1
+                assert least >= bound, (gens, c, r)
+                ends[least == bound] += 1
             kinds[key[table._i] + table.key(r)[table._i] >= e_i, answer] += 1
     assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
-    assert min(ends[True, True], ends[False, False]) >= 20, ends
+    assert min(ends.values()) >= 20 and len(ends) == 2, ends
 
 
 def test_recheck_rejects_forged_facet_values():
