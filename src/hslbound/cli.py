@@ -64,8 +64,12 @@ def load_input(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path} nests arrays or objects too deeply") from None
     if not isinstance(doc, dict) or "generators" not in doc:
         raise InputError("input document needs a 'generators' array")
     gens = doc["generators"]

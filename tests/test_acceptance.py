@@ -14,6 +14,7 @@ from hslbound.cohomology import empirical_hsl, frobenius_orbit, hsl_exact_dim1, 
 from hslbound.cones import Cone, is_pointed, parallelepiped_points, support_forms, triangulate
 from hslbound.intlinalg import dot, hermite_normal_form, smith_normal_form, vec_add, vec_scale
 from hslbound.semigroups import all_facet_data, build, find_gamma, member, n_q, verify_gamma
+from conftest import WEDGE_GENS
 from oracles import (
     brute_min_power_in_numerical,
     brute_zero_class,
@@ -25,7 +26,6 @@ from oracles import (
     smith_factors_hold,
 )
 
-WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 DIM1_FIXTURES = (((3,), (5,)), ((2,), (3,)), ((4,), (7,), (9,)))
 
 
@@ -122,17 +122,16 @@ def test_criterion_7_zero_class_oracle_equivalence():
         if res.verdict == "unknown":
             continue
         assert res.verdict in ("zero", "nonzero")
+        assert res.recheck(S, facets, v), v
         brute = brute_zero_class(S, facets, v, 60)
         if res.verdict == "nonzero":
             assert not brute, v
+        elif dot(S.grading, res.witness) <= 60:
+            assert brute, v
         else:
-            assert res.recheck(S, facets, v), v
-            if dot(S.grading, res.witness) <= 60:
-                assert brute, v
-            else:
-                # certified witness above the search cap; the capped
-                # enumeration cannot see it and certifies nothing
-                zero_beyond_cap += 1
+            # certified witness above the search cap; the capped
+            # enumeration cannot see it and certifies nothing
+            zero_beyond_cap += 1
         if brute:
             assert res.is_zero, v
     report(

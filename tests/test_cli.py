@@ -11,10 +11,11 @@ from hslbound.cli import main
 from hslbound.cohomology import frobenius_orbit
 from hslbound.intlinalg import MILLER_RABIN_LIMIT
 from hslbound.semigroups import all_facet_data, build, find_gamma
+from conftest import INDEX2_GENS, WEDGE_GENS
 
-WEDGE = {"generators": [[5, 1], [4, 1], [1, 3], [1, 4]]}
+WEDGE = {"generators": WEDGE_GENS}
 NS35 = {"generators": [[3], [5]]}
-INDEX2 = {"generators": [[2, 0], [1, 1], [1, 2]]}
+INDEX2 = {"generators": INDEX2_GENS}
 
 
 def write_input(tmp_path, doc, name="input.json"):
@@ -170,9 +171,13 @@ def test_budget_below_1_exits_1(tmp_path, capsys, command, budget):
 
 
 def test_invalid_inputs_exit_1(tmp_path, capsys):
+    # not JSON, not UTF-8, and nested past the decoder's recursion limit:
+    # each a one-line error, no traceback
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(capsys, "analyze", "--input", str(bad))[0] == 1
+    for text in (b"{not json", b'{"generators": [[1]], "labels": ["\xff"]}', b"[" * 100000):
+        bad.write_bytes(text)
+        code, _, err = run(capsys, "analyze", "--input", str(bad))
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, text[:40]
     assert run(capsys, "analyze", "--input", str(tmp_path / "missing.json"))[0] == 1
     for doc in (
         {},

@@ -28,8 +28,8 @@ from hslbound.semigroups import (
     n_q,
     verify_gamma,
 )
+from conftest import D3_GENS, D4_GENS, INDEX2_GENS, wedge_gens
 from oracles import (
-    brute_min_power_in_numerical,
     brute_zero_class,
     random_raw_generators,
     random_signed_generators,
@@ -37,8 +37,9 @@ from oracles import (
     semigroup_elements_upto,
     smith_boundary_order,
 )
+from test_semigroups import SEEDED_COVERAGE
 
-CAP = 470  # 10 * m_q for the wedge certificate below
+CAP = 470  # 10 * 47, the m_Q of the hand-picked wedge translate (14, 9); find_gamma's is 45
 
 
 def pipeline(S):
@@ -201,35 +202,11 @@ def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx, d3, i
         assert forged.recheck(ns35, facets, (1,)) is False, checked
 
 
-def test_zero_class_against_brute_force(wedge, wedge_ctx):
-    cert, facets = wedge_ctx
-    for v in product(range(-6, 7), repeat=2):
-        res = zero_class(wedge, cert, facets, v, 60)
-        brute = brute_zero_class(wedge, facets, v, 60)
-        if res.verdict == "unknown":
-            continue
-        assert res.is_zero == brute, v
-        assert res.recheck(wedge, facets, v)
-
-
-WEDGE_7 = ((7, 1), (6, 1), (1, 5), (1, 6))
-WEDGE_9 = ((9, 1), (8, 1), (1, 7), (1, 8))  # m_q 441, facet values (433, 441)
-D4_GENS = (
-    (1, 0, 0, 1),
-    (0, 1, 0, 1),
-    (0, 0, 1, 1),
-    (2, 1, 0, 1),
-    (0, 2, 1, 1),
-    (1, 0, 2, 1),
-    (1, 1, 1, 2),
-)
-
-
 @pytest.mark.parametrize("name, window", [("d3", 8), ("D4", 4), ("W_7", 30)])
 def test_capped_search_against_brute_force(request, name, window):
     # seeded outside degrees that reach the capped facet search: outside
     # -sigma, not in Q, and with no constructive facet
-    gens = {"D4": D4_GENS, "W_7": WEDGE_7}
+    gens = {"D4": D4_GENS, "W_7": wedge_gens(7)}
     S = build(gens[name]) if name in gens else request.getfixturevalue(name)
     cert, facets = pipeline(S)
     cap, tiny = 10 * cert.m_q, 2
@@ -445,13 +422,6 @@ def test_empirical_wedge(wedge, wedge_ctx):
     assert rep.class_counts["unknown"] == 0
 
 
-def test_empirical_dim1(ns35, ns35_ctx):
-    cert, facets = ns35_ctx
-    rep = empirical_hsl(ns35, cert, facets, 2, 20, 6, CAP)
-    assert rep.empirical_max == 3
-    assert rep.violations == ()
-
-
 def test_empirical_saturated():
     S = build(((1, 0), (0, 1)))
     cert, facets = pipeline(S)
@@ -488,27 +458,9 @@ def test_empirical_small_characteristic(index2, index2_ctx):
     assert rep3.small_char_flags == ()
 
 
-def test_hsl_exact_dim1(ns35, ns23):
-    assert hsl_exact_dim1(ns35, 2) == 3
-    assert hsl_exact_dim1(ns35, 3) == 1
-    assert hsl_exact_dim1(ns23, 5) == 1
-    assert hsl_exact_dim1(ns23, 7) == 1
-
-
 def test_hsl_exact_dim1_requires_rank1(wedge):
     with pytest.raises(DimensionMismatchError):
         hsl_exact_dim1(wedge, 2)
-
-
-def test_dim1_against_brute_and_window(ns35, ns479):
-    for S, gens in ((ns35, (3, 5)), (ns479, (4, 7, 9))):
-        cert, facets = pipeline(S)
-        for p in (2, 3, 5, 7, 11):
-            exact = hsl_exact_dim1(S, p)
-            assert exact == brute_min_power_in_numerical(gens, p)
-            bound = theoretical_bound(cert, 0, p)
-            rep = empirical_hsl(S, cert, facets, p, 30, bound + 2, 10 * cert.m_q)
-            assert rep.empirical_max == exact
 
 
 def orbit_tally(S, cert, facets, p, window, e_max, cap):
@@ -581,7 +533,7 @@ def sweep_input(request, name):
     """A fixture by name, W_7 / W_9 / D4 / O_2 (the orthant), or
     "random-<rank>-<seed>": the semigroup of
     random_raw_generators(random.Random(seed), rank)."""
-    gens = {"W_7": WEDGE_7, "W_9": WEDGE_9, "D4": D4_GENS, "O_2": ((1, 0), (0, 1))}
+    gens = {"W_7": wedge_gens(7), "W_9": wedge_gens(9), "D4": D4_GENS, "O_2": ((1, 0), (0, 1))}
     if name in gens:
         return build(gens[name])
     if name.startswith("random-"):
@@ -590,56 +542,52 @@ def sweep_input(request, name):
     return request.getfixturevalue(name)
 
 
-@pytest.mark.parametrize(
-    "name, p, window, e_max, cap",
-    [
-        ("wedge", 2, 8, 8, CAP),
-        ("wedge", 3, 6, 1, 5),  # e_max below the bound, tiny cap: unknowns
-        ("ns35", 2, 20, 5, 80),
-        ("ns35", 2, 20, 2, 80),  # e_max below the constructive level 3 of (1,)
-        ("index2", 2, 6, 10, 20),  # p <= N_Q: bound withheld, flags
-        ("index2", 3, 6, 3, 20),
-        ("d3", 5, 4, 3, 20),
-        ("d3", 2, 3, 0, 20),
-        # seeded random semigroups (seeds whose gamma search ends within
-        # the default budget in well under 0.1 s); the rank-3 case has
-        # unknowns from the small cap
-        ("random-2-7021", 2, 5, 4, 20),
-        ("random-3-7034", 2, 2, 4, 20),
-        ("random-4-7046", 3, 1, 3, 20),
-        # large facet values: ceil(u_i(gamma) / 2^e) differs at ten levels
-        ("W_9", 2, 4, 11, 20),
-        ("W_9", 2, 5, 3, 40),  # e_max below the constructive level: unknowns
-        # window 0: the origin alone
-        ("d3", 5, 0, 3, 20),
-        ("ns35", 2, 0, 5, 80),
-        ("W_9", 2, 0, 3, 40),
-    ],
+# (input, p, window, e_max, cap, forced).  No input violates the theorem,
+# so a forced row sets the bound to 0 for p > N_Q: every positive order is
+# then a violation
+ORBIT_TALLY_CASES = (
+    ("wedge", 2, 8, 8, CAP, False),
+    ("wedge", 3, 6, 1, 5, False),  # e_max below the bound, tiny cap: unknowns
+    ("ns35", 2, 20, 5, 80, False),
+    ("ns35", 2, 20, 2, 80, False),  # e_max below the constructive level 3 of (1,)
+    ("index2", 2, 6, 10, 20, False),  # p <= N_Q: bound withheld, flags
+    ("index2", 3, 6, 3, 20, False),
+    ("d3", 5, 4, 3, 20, False),
+    ("d3", 2, 3, 0, 20, False),
+    # seeded random semigroups (seeds whose gamma search ends within
+    # the default budget in well under 0.1 s); the rank-3 case has
+    # unknowns from the small cap
+    ("random-2-7021", 2, 5, 4, 20, False),
+    ("random-3-7034", 2, 2, 4, 20, False),
+    ("random-4-7046", 3, 1, 3, 20, False),
+    # large facet values: ceil(u_i(gamma) / 2^e) differs at ten levels
+    ("W_9", 2, 4, 11, 20, False),
+    ("W_9", 2, 5, 3, 40, False),  # e_max below the constructive level: unknowns
+    # window 0: the origin alone
+    ("d3", 5, 0, 3, 20, False),
+    ("ns35", 2, 0, 5, 80, False),
+    ("W_9", 2, 0, 3, 40, False),
+    ("d3", 5, 4, 3, 20, True),
+    ("D4", 5, 2, 3, 40, True),
+    ("W_9", 2, 6, 11, 20, True),  # small cap: orders up to 9
+    ("random-3-7034", 3, 2, 6, 320, True),
 )
-def test_empirical_hsl_matches_orbit_tally(request, monkeypatch, name, p, window, e_max, cap):
-    S = sweep_input(request, name)
-    cert, facets = pipeline(S)
-    sweep_against_orbit_tally(monkeypatch, S, cert, facets, p, window, e_max, cap)
 
 
 @pytest.mark.parametrize(
-    "name, p, window, e_max, cap",
-    [
-        ("d3", 5, 4, 3, 20),
-        ("D4", 5, 2, 3, 40),
-        ("W_9", 2, 6, 11, 20),  # small cap: orders up to 9
-        ("random-3-7034", 3, 2, 6, 320),
-    ],
+    "name, p, window, e_max, cap, forced",
+    ORBIT_TALLY_CASES,
+    ids=["-".join(map(str, case[:5])) + "-forced" * case[5] for case in ORBIT_TALLY_CASES],
 )
-def test_forced_violations_match_orbit_tally(request, monkeypatch, name, p, window, e_max, cap):
-    # no input violates the theorem, so the bound is forced to 0 for
-    # p > N_Q: every positive order is then a violation
+def test_empirical_hsl_matches_orbit_tally(request, monkeypatch, name, p, window, e_max, cap, forced):
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
-    assert p > n_q(S, facets)
-    monkeypatch.setattr(cohomology, "theoretical_bound", lambda cert, nq, p: None if p <= nq else 0)
+    if forced:
+        assert p > n_q(S, facets)
+        monkeypatch.setattr(cohomology, "theoretical_bound", lambda cert, nq, p: None if p <= nq else 0)
     fast, _ = sweep_against_orbit_tally(monkeypatch, S, cert, facets, p, window, e_max, cap)
-    assert fast.theoretical_bound == 0 and fast.violations
+    if forced:
+        assert fast.theoretical_bound == 0 and fast.violations
 
 
 @pytest.mark.parametrize(
@@ -801,12 +749,12 @@ def test_boundary_orders_are_not_monotone():
                     pairs.append((u, v, orbit.order, orders[v]))
         return pairs
 
-    d3 = build(((3, 0, 1), (0, 3, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (0, 0, 1)))
+    d3 = build(D3_GENS)
     pairs = rising_pairs(d3, 5, 6)
     assert len(pairs) == 26
     assert {(b, o) for _, _, b, o in pairs} == {(0, 1)}
     assert ((-6, 2, -6), (-2, 1, -5), 0, 1) in pairs
-    index2 = build(((2, 0), (1, 1), (1, 2)))
+    index2 = build(INDEX2_GENS)
     assert rising_pairs(index2, 2, 12) == [((-12, 0), (-11, 1), 0, 1)]
 
 
@@ -904,14 +852,14 @@ def test_random_sweeps_match_orbit_tally(monkeypatch):
     # seeded rank-2/3 semigroups, some with generators that are not
     # lexicographically positive (their v - g is visited after v, so the
     # order table has no entry for it); p is the next prime above N_Q
-    exhausted = skipped = 0
+    exhausted, skipped = Counter(), 0
     for seed in range(12):
         rank = 2 + seed % 2
         S = build(random_signed_generators(random.Random(seed), rank, 2))
         try:
             cert = find_gamma(S, budget=1000)
         except BudgetExhaustedError:
-            exhausted += 1
+            exhausted[rank] += 1
             continue
         facets = all_facet_data(S)
         nq = n_q(S, facets)
@@ -921,7 +869,7 @@ def test_random_sweeps_match_orbit_tally(monkeypatch):
         fast, n = sweep_against_orbit_tally(monkeypatch, *args)
         assert fast.violations == () and fast.class_counts["unknown"] == 0, seed
         skipped += n
-    assert exhausted == 0
+    assert exhausted == SEEDED_COVERAGE["random_sweeps_exhausted"]
     assert skipped  # some skipped outside degree has a positive order
 
 
@@ -968,12 +916,6 @@ def test_sweep_work_pinned(request, monkeypatch):
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
     assert calls == {"zero_class": 562, "frobenius_orbit": 340, "_outside_order": 141}
-    # the boundary orbits run at e_max 0: at the full e_max, D4's 66
-    # degrees that are not nilpotent were tested on 4 levels each, not 2
-    # (694 zero_class calls, 279 nonzero).  Without the skips: 926
-    # zero_class calls (483 zero, 279 nonzero, 164 unknown) over 6,418
-    # _outside_order calls; without the order table too, 6,971 zero_class
-    # calls, 6,528 of them zero
     assert verdicts == {"zero": 412, "nonzero": 147, "unknown": 3}
 
 
@@ -1015,8 +957,8 @@ def test_boundary_orders_match_smith_formula_on_random_semigroups():
     # seeded rank 2-4 semigroups at small primes and small e_max, so that
     # some orders lie past e_max, where frobenius_orbit tests on up to the
     # level the invariant factors bound; inputs whose gamma search runs
-    # out of budget are counted.  3,897 orbits, each rank with orders past
-    # e_max and degrees that are not nilpotent
+    # out of budget are counted.  Each rank has orders past e_max and
+    # degrees that are not nilpotent
     pytest.importorskip("sympy")
     windows = {2: 6, 3: 3, 4: 2}
     spreads = {2: 2, 3: 2, 4: 1}  # at rank 4 most spread-2 searches run out
@@ -1043,8 +985,7 @@ def test_boundary_orders_match_smith_formula_on_random_semigroups():
                     assert len(orbit.statuses) == e_max + 1
                     past = order is not None and order > e_max
                     kinds[rank, "past e_max" if past else kind] += 1
-    # every random_raw_generators input of rank 4 runs out
-    assert exhausted == {3: 2, 4: 6}
+    assert exhausted == SEEDED_COVERAGE["smith_formula_exhausted"]
     assert all(kinds[rank, k] for rank in windows for k in ("past e_max", "not_nilpotent")), kinds
 
 

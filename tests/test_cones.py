@@ -20,6 +20,7 @@ from hslbound.intlinalg import (
     solve_rational,
     vec_add,
 )
+from conftest import D3_GENS, INDEX2_GENS, WEDGE_GENS
 from oracles import (
     adjugate,
     brute_extreme_ray_reps,
@@ -33,8 +34,6 @@ from oracles import (
     random_raw_generators,
     transpose,
 )
-
-WEDGE_GENS = ((5, 1), (4, 1), (1, 3), (1, 4))
 
 
 def wedge_cone():
@@ -126,7 +125,7 @@ def test_support_forms_against_brute_facets():
 def test_cone_facet_structure_invariants():
     for gens, n in (
         (WEDGE_GENS, 2),
-        (((2, 0), (1, 1), (1, 2)), 2),
+        (INDEX2_GENS, 2),
         (((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), 3),
     ):
         c = Cone.from_generators(gens, n)
@@ -246,7 +245,7 @@ def test_triangulation_covers_and_is_disjoint():
     cones = [
         wedge_cone(),
         Cone.from_generators(((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), 3),
-        Cone.from_generators(((2, 0), (1, 1), (1, 2)), 2),
+        Cone.from_generators(INDEX2_GENS, 2),
     ]
     rng = random.Random(17)
     for rank, count in ((3, 6), (4, 4)):
@@ -357,8 +356,8 @@ def test_decompose_roundtrip_random():
     rng = random.Random(12)
     cones = [
         wedge_cone(),
-        Cone.from_generators(((2, 0), (1, 1), (1, 2)), 2),
-        Cone.from_generators(((3, 0, 1), (0, 3, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (0, 0, 1)), 3),
+        Cone.from_generators(INDEX2_GENS, 2),
+        Cone.from_generators(D3_GENS, 3),
         Cone.from_generators(((2, -1, 1), (-1, 2, 1), (-1, -1, 1), (1, 1, 1)), 3),
     ]
     for c in cones:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -34,6 +35,7 @@ from hslbound.semigroups import (
     saturation_residues,
     verify_gamma,
 )
+from conftest import D3_GENS, D4_GENS, INDEX2_GENS, wedge_gens
 from oracles import (
     generator_sum_gamma,
     greedy_express,
@@ -301,19 +303,10 @@ def test_find_gamma(wedge, ns35, ns23, ns479):
 
 
 def test_find_gamma_budget():
+    gens = ((3,), (5,))
     with pytest.raises(BudgetExhaustedError):
-        find_gamma(build(((3,), (5,))), budget=0)
-    # probes 0 and 5 fail: 0 + 1 rules out its chain 0 + 3N below 9,
-    # past the least 10 of the line of 1, and 5 + 2 rules out 5 + 3N
-    # below 8, so 8 is the third probe
-    with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(build(((3,), (5,))), budget=2)
-    assert info.value.examined == 2 and info.value.max_level == 5
-    assert find_gamma(build(((3,), (5,))), budget=3).gamma == (8,)
-
-
-def wedge_gens(k):
-    return ((k, 1), (k - 1, 1), (1, k - 2), (1, k - 1))
+        find_gamma(build(gens), budget=0)
+    check_budget_boundary(gens)
 
 
 def gamma_key(S, cert):
@@ -335,51 +328,88 @@ def test_find_gamma_is_optimal_against_enumeration(name, request):
     assert cert == best
 
 
-D4_GENS = (
-    (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (2, 1, 0, 1), (0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 1, 2)
-)
 R3_GENS = ((1, 0, 3), (5, 3, 3), (3, 5, 3), (2, 4, 2))
+# the benchmark's analyze ladder; wedge2d is W_5
+LADDER = {f"W_{k}": wedge_gens(k) for k in (5, 7, 9, 11)}
+LADDER.update(index2_facet=INDEX2_GENS, numerical_3_5=((3,), (5,)), D3=D3_GENS, D4=D4_GENS)
+
+
+@functools.cache
+def search_work(gens):
+    """find_gamma(build(gens)) at the default budget, counted.
+
+    Returns the certificate, the grading level of each probe (a
+    first_failure call) and the row (probes, Apéry table lines, residue
+    lookups, _contains calls, memo entries) when the search returns.  Only
+    the winner's certificate walk asks _contains and fills the memo.
+    """
+    levels, calls = [], Counter()
+    first_failure, contains = semigroups._AperyTable.first_failure, semigroups._contains
+
+    def probe(table, level, key, reduced):
+        tried = list(reduced)
+        below = first_failure(table, level, key, reduced)
+        levels.append(level)
+        calls["lookups"] += len(tried) if below is None else tried.index(reduced[0]) + 1
+        return below
+
+    def counting(S, c):
+        calls["_contains"] += 1
+        return contains(S, c)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semigroups._AperyTable, "first_failure", probe)
+        m.setattr(semigroups, "_contains", counting)
+        S = build(gens)
+        cert = find_gamma(S)
+    row = (len(levels), len(S._apery._least), calls["lookups"], calls["_contains"], len(S._memo))
+    return cert, tuple(levels), row
+
+
+def check_budget_boundary(gens):
+    """At a budget of the counted probes a fresh search returns the counted
+    certificate; one probe short it runs out, reporting the probes it
+    popped and the largest level among them.  Returns both semigroups."""
+    cert, levels, _ = search_work(gens)
+    S, short = build(gens), build(gens)
+    assert find_gamma(S, budget=len(levels)) == cert
+    with pytest.raises(BudgetExhaustedError) as info:
+        find_gamma(short, budget=len(levels) - 1)
+    assert (info.value.examined, info.value.max_level) == (len(levels) - 1, max(levels[:-1], default=0))
+    return S, short
 
 
 @pytest.mark.parametrize(
     "name, m_q", [("W_9", 441), ("W_11", 891), ("D3", 2), ("D4", 4), ("R3", 114)]
 )
-def test_ladder_certificates(name, m_q, d3):
+def test_ladder_certificates(name, m_q):
     # the search tests the residue that failed last first; the certificate
     # must be the one verify_gamma builds in canonical order on a fresh
-    # semigroup.  R3's optimum is the 27,036th generator sum in key order
-    # and the chain search's 6,349th probe, within the default budget
-    gens = {"W_9": wedge_gens(9), "W_11": wedge_gens(11), "D3": d3.raw_generators, "D4": D4_GENS}
-    gens["R3"] = R3_GENS
-    S = build(gens[name])
+    # semigroup.  R3's optimum lies within the default budget
+    gens = dict(LADDER, R3=R3_GENS)[name]
+    S = build(gens)
     cert = find_gamma(S)
     assert cert.m_q == m_q
-    assert cert == verify_gamma(build(gens[name]), cert.gamma)
+    assert cert == verify_gamma(build(gens), cert.gamma)
     assert cert.recheck(S)
 
 
 def test_find_gamma_w13_optimal_at_default_budget():
-    # in grading order the optimum lies beyond the first 10000 candidates
-    # (the first valid one there has m_Q 1579); in key order it is the
-    # 4433rd generator sum, and the 1783rd probe of the chain search
-    S = build(wedge_gens(13))
-    cert = find_gamma(S)
+    # the default budget reaches W_13's optimum, whose key is pinned here
+    # and not compared with the generator-sum walk (that walk needs more
+    # candidates than test_find_gamma_matches_the_generator_sum_search allows)
+    S, _ = check_budget_boundary(wedge_gens(13))
+    cert = search_work(wedge_gens(13))[0]
     assert cert.m_q == 1573 and cert.gamma == (142, 131)
     assert cert.recheck(S)
-    # a budget one short of it runs out at grading level 3100
-    assert find_gamma(build(wedge_gens(13)), budget=1783) == cert
-    with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(build(wedge_gens(13)), budget=1782)
-    assert info.value.examined == 1782 and info.value.max_level == 3100
 
 
-def test_find_gamma_matches_the_generator_sum_search(d3, wedge, index2):
+def test_find_gamma_matches_the_generator_sum_search():
     # the chain search skips only points whose failure is proven, so it
     # returns the certificate of the best-first walk over every generator
     # sum: on the benchmark ladder, W_13 and the seeded rank 1-3 inputs
     # whose walk ends within 2000 candidates
-    inputs = [wedge.raw_generators, index2.raw_generators, ((3,), (5,)), d3.raw_generators, D4_GENS]
-    inputs += [wedge_gens(k) for k in (5, 7, 9, 11, 13)]
+    inputs = list(LADDER.values()) + [wedge_gens(13)]
     for seed, rank in product(range(50), (1, 2, 3)):
         inputs.append(random_raw_generators(random.Random(seed), rank))
         inputs.append(random_signed_generators(random.Random(seed), rank, 2))
@@ -390,57 +420,35 @@ def test_find_gamma_matches_the_generator_sum_search(d3, wedge, index2):
         if expected is not None:
             assert repr(find_gamma(build(gens))) == repr(expected), gens
             compared[S.dim] += 1
-    assert compared == {1: 103, 2: 103, 3: 86, 4: 1}, compared
+    assert compared == SEEDED_COVERAGE["generator_sum_search"], compared
 
 
 def test_find_gamma_caches_no_answers(monkeypatch):
-    # the search asks the Apéry table directly, one first_failure call
-    # per probe and one lookup per residue tried (138 and 420 on W_7,
-    # counts that move with the probe or residue order); only the
-    # winner's witnesses go through _contains and its cache, and _certify
-    # is stubbed out here.  W_17 certifies on its 4899th probe, so a
-    # budget one short of it runs out
-    S = build(wedge_gens(17))
-    with pytest.raises(BudgetExhaustedError) as info:
-        find_gamma(S, budget=4898)
-    assert (info.value.examined, info.value.max_level) == (4898, 7588) and S._memo == {}
-    calls = Counter()
-    first_failure = semigroups._AperyTable.first_failure
-    contains = semigroups._contains
+    # the search asks the Apéry table directly: nothing asks _contains or
+    # fills the memo before _certify walks the winner's witnesses, in a
+    # search that certifies at the counted budget or in one that runs out
+    # a probe short.  W_17 has the longest search of the table below
+    gens = wedge_gens(17)
+    search_work(gens)  # counted before the guards go in
+    certifying = []
+    contains, certify = semigroups._contains, semigroups._certify
 
-    def counting_lookups(table, level, key, reduced):
-        before = list(reduced)
-        below = first_failure(table, level, key, reduced)
-        calls["probes"] += 1
-        calls["lookups"] += len(before) if below is None else before.index(reduced[0]) + 1
-        return below
-
-    def counting(S, c):
-        calls["_contains"] += 1
+    def guarded(S, c):
+        assert certifying, f"_contains{c} asked before _certify"
         return contains(S, c)
 
-    def certify(*args):
-        calls["certified"] += 1
-        assert calls == {"probes": 138, "lookups": 420, "certified": 1}, calls
-        return args
+    def logged(S, *args):
+        assert S._memo == {}
+        certifying.append(S)
+        return certify(S, *args)
 
-    monkeypatch.setattr(semigroups._AperyTable, "first_failure", counting_lookups)
-    monkeypatch.setattr(semigroups, "_contains", counting)
-    monkeypatch.setattr(semigroups, "_certify", certify)
-    S = build(wedge_gens(7))
-    find_gamma(S)
-    assert calls["certified"] == 1 and S._memo == {}
+    monkeypatch.setattr(semigroups, "_contains", guarded)
+    monkeypatch.setattr(semigroups, "_certify", logged)
+    _, short = check_budget_boundary(gens)
+    assert len(certifying) == 1 and short._memo == {}
 
 
-def ladder_inputs(d3, index2):
-    # the benchmark's analyze ladder; wedge2d is W_5
-    inputs = {f"W_{k}": wedge_gens(k) for k in (5, 7, 9, 11)}
-    inputs.update(index2_facet=index2.raw_generators, numerical_3_5=((3,), (5,)))
-    inputs.update(D3=d3.raw_generators, D4=D4_GENS)
-    return inputs
-
-
-def test_first_failure_bounds_against_a_settled_table(monkeypatch, d3, index2):
+def test_first_failure_bounds_against_a_settled_table(monkeypatch):
     # each failure's bound b (the result plus the failing residue's
     # grading) against the least grading d of its line, read from a second
     # table settled up to b: b = d when the first table holds the line at
@@ -466,7 +474,7 @@ def test_first_failure_bounds_against_a_settled_table(monkeypatch, d3, index2):
         return below
 
     monkeypatch.setattr(semigroups._AperyTable, "first_failure", checked)
-    inputs = list(ladder_inputs(d3, index2).values())
+    inputs = list(LADDER.values())
     for seed, rank in product(range(10), (1, 2, 3)):
         inputs.append(random_raw_generators(random.Random(seed), rank))
         inputs.append(random_signed_generators(random.Random(seed), rank, 2))
@@ -479,67 +487,52 @@ def test_first_failure_bounds_against_a_settled_table(monkeypatch, d3, index2):
     assert min(tally[True, True], tally[False, True], tally[False, False]) > 0, tally
 
 
-def test_search_work_per_ladder_input(monkeypatch, d3, index2):
-    # probes (first_failure calls) and Apéry table lines after find_gamma
-    # returns: the search's work as numbers, for later changes to move.
-    # The generator-sum search took 45, 245, 819 and 2,079 candidates on
-    # W_5 to W_11 and 27,036 on R3; the frontier top alone as the bound of
-    # an unsettled line took 35, 173, 517, 1,173 and 6,552 probes
-    probes = Counter()
-    real = semigroups._AperyTable.first_failure
+# Seeded inputs that a cross-check covers, by rank, and seeded gamma
+# searches that run out of budget; like the table below, they move when the
+# search's reach does
+SEEDED_COVERAGE = {
+    # test_find_gamma_matches_the_generator_sum_search: inputs compared
+    "generator_sum_search": {1: 103, 2: 102, 3: 86, 4: 1},
+    # test_certificate_witnesses_match_one_walk_per_point: inputs checked
+    "one_walk_per_point": {1: 1, 2: 26, 3: 11, 4: 1},
+    # test_cohomology's seeded sweeps and boundary orbits: searches out of
+    # budget 1000, by rank (the orbits' rank-4 raw inputs all run out)
+    "random_sweeps_exhausted": {},
+    "smith_formula_exhausted": {3: 2, 4: 6},
+}
 
-    def counting(table, *args):
-        probes[table] += 1
-        return real(table, *args)
 
-    monkeypatch.setattr(semigroups._AperyTable, "first_failure", counting)
-    work = {}
-    for name, gens in dict(ladder_inputs(d3, index2), R3=R3_GENS).items():
-        S = build(gens)
-        find_gamma(S)
-        work[name] = probes[S._apery], len(S._apery._least)
+def test_search_work_per_ladder_input():
+    # the gamma search's work per input, counted by search_work: probes,
+    # Apéry table lines, residue lookups, and the _contains calls and memo
+    # entries of the winner's certificate walk, which builds the witnesses
+    # of gamma and of every gamma + rho in one walk that stops at the first
+    # point an earlier walk recorded.  A change to the search moves these
+    # on purpose, and says so
+    inputs = dict(LADDER, R3=R3_GENS, W_13=wedge_gens(13), W_17=wedge_gens(17))
+    work = {name: search_work(gens)[2] for name, gens in inputs.items()}
     assert work == {
-        "W_5": (29, 92),
-        "W_7": (138, 284),
-        "W_9": (418, 636),
-        "W_11": (929, 1196),
-        "index2_facet": (2, 9),
-        "numerical_3_5": (3, 3),
-        "D3": (2, 66),
-        "D4": (21, 421),
-        "R3": (6349, 9456),
+        # name: (probes, table lines, lookups, _contains, memo)
+        "W_5": (29, 92, 103, 112, 65),
+        "W_7": (138, 284, 420, 281, 186),
+        "W_9": (418, 636, 1186, 554, 395),
+        "W_11": (929, 1196, 2469, 955, 716),
+        "index2_facet": (2, 9, 6, 16, 6),
+        "numerical_3_5": (3, 3, 8, 12, 9),
+        "D3": (2, 66, 6, 29, 10),
+        "D4": (21, 421, 46, 82, 39),
+        "R3": (6349, 9456, 8954, 581, 281),
+        "W_13": (1783, 2012, 4615, 1508, 1173),
+        "W_17": (4899, 4604, 11820, 3166, 2591),
     }, work
 
 
-@pytest.mark.parametrize(
-    "k, tests, memo", [(7, 281, 186), (9, 554, 395), (11, 955, 716)]
-)
-def test_certificate_walks_share_their_membership_tests(monkeypatch, k, tests, memo):
-    # the witnesses of gamma and of every gamma + rho come from one walk,
-    # which stops at the first point an earlier walk recorded; one walk
-    # per point made 1,101, 2,614 and 5,099 tests on W_7, W_9 and W_11.
-    # The walks ask the same points, so the memo sizes are those of one
-    # walk per point
-    calls = []
-    contains = semigroups._contains
-
-    def counting(S, c):
-        calls.append(c)
-        return contains(S, c)
-
-    monkeypatch.setattr(semigroups, "_contains", counting)
-    S = build(wedge_gens(k))
-    cert = find_gamma(S)
-    assert len(calls) == tests and len(S._memo) == memo
-    assert cert == verify_gamma(build(wedge_gens(k)), cert.gamma)
-
-
-def test_certificate_witnesses_match_one_walk_per_point(d3):
+def test_certificate_witnesses_match_one_walk_per_point():
     # every witness of a certificate is the greedy walk of its own point,
     # taken on brute membership with nothing shared between points: on
     # W_5, W_7, D3, D4, <3, 5> and seeded rank 2-3 inputs whose search
     # ends within the budget (rank 3: whose witnesses lie at grading <= 60)
-    inputs = [wedge_gens(5), wedge_gens(7), d3.raw_generators, D4_GENS, ((3,), (5,))]
+    inputs = [wedge_gens(5), wedge_gens(7), D3_GENS, D4_GENS, ((3,), (5,))]
     for seed, rank in product(range(12), (2, 3)):
         inputs.append(random_raw_generators(random.Random(seed), rank))
         inputs.append(random_signed_generators(random.Random(seed), rank, 2))
@@ -557,7 +550,7 @@ def test_certificate_witnesses_match_one_walk_per_point(d3):
         for v, coeffs in zip(points, witnesses):
             assert coeffs == greedy_express(S.generators, S.grading, v), (gens, v)
         checked[S.dim] += 1
-    assert checked == {1: 1, 2: 26, 3: 11, 4: 1}, checked
+    assert checked == SEEDED_COVERAGE["one_walk_per_point"], checked
 
 
 def test_reduced_residue_lookup_against_contains():

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -8,6 +9,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from conftest import WEDGE_GENS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hslbound"
@@ -95,7 +98,7 @@ def test_perfbench_tracer_reads_memo_size():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        S = semigroups.build(((5, 1), (4, 1), (1, 3), (1, 4)))
+        S = semigroups.build(WEDGE_GENS)
         semigroups.member(S, (6, 4))
     finally:
         tracer.uninstall()
@@ -247,3 +250,18 @@ def test_random_geometry_takes_one_elimination_per_simplex(monkeypatch):
         subs = cones.triangulate(S.cone)
         assert len(calls) == len(subs), name
     assert total == 522
+
+
+def test_readme_documents_the_interface():
+    # the README is the user's reference: every subcommand and its flags,
+    # every exit code, the resource limits by name and the prime limit
+    cli = importlib.import_module("hslbound.cli")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    words = list(subcommands.choices)
+    for parser in subcommands.choices.values():
+        words += [s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings]
+    words += [f"`{code}`" for code in (*range(5), cli.EXIT_BROKEN_PIPE)]
+    words += ["MAX_WINDOW_DEGREES", "FACET_ELEMENT_LIMIT", "FACET_ELEMENT_CACHE", str(cli.MILLER_RABIN_LIMIT)]
+    missing = [w for w in words if w not in readme]
+    assert "--window" in words and not missing, f"not in the README: {missing}"
