@@ -502,29 +502,52 @@ SEEDED_COVERAGE = {
 }
 
 
+# The gamma search's work per input, counted by search_work: probes, Apéry
+# table lines, residue lookups, and the _contains calls and memo entries of
+# the winner's certificate walk, which builds the witnesses of gamma and of
+# every gamma + rho in one walk that stops at the first point an earlier
+# walk recorded.  A change to the search moves these on purpose, and says so
+SEARCH_WORK = {
+    # name: (probes, table lines, lookups, _contains, memo)
+    "W_5": (29, 92, 103, 112, 65),
+    "W_7": (138, 284, 420, 281, 186),
+    "W_9": (418, 636, 1186, 554, 395),
+    "W_11": (929, 1196, 2469, 955, 716),
+    "index2_facet": (2, 9, 6, 16, 6),
+    "numerical_3_5": (3, 3, 8, 12, 9),
+    "D3": (2, 66, 6, 29, 10),
+    "D4": (21, 421, 46, 82, 39),
+    "R3": (6349, 9456, 8954, 581, 281),
+    "W_13": (1783, 2012, 4615, 1508, 1173),
+    "W_17": (4899, 4604, 11820, 3166, 2591),
+}
+
+
 def test_search_work_per_ladder_input():
-    # the gamma search's work per input, counted by search_work: probes,
-    # Apéry table lines, residue lookups, and the _contains calls and memo
-    # entries of the winner's certificate walk, which builds the witnesses
-    # of gamma and of every gamma + rho in one walk that stops at the first
-    # point an earlier walk recorded.  A change to the search moves these
-    # on purpose, and says so
     inputs = dict(LADDER, R3=R3_GENS, W_13=wedge_gens(13), W_17=wedge_gens(17))
     work = {name: search_work(gens)[2] for name, gens in inputs.items()}
-    assert work == {
-        # name: (probes, table lines, lookups, _contains, memo)
-        "W_5": (29, 92, 103, 112, 65),
-        "W_7": (138, 284, 420, 281, 186),
-        "W_9": (418, 636, 1186, 554, 395),
-        "W_11": (929, 1196, 2469, 955, 716),
-        "index2_facet": (2, 9, 6, 16, 6),
-        "numerical_3_5": (3, 3, 8, 12, 9),
-        "D3": (2, 66, 6, 29, 10),
-        "D4": (21, 421, 46, 82, 39),
-        "R3": (6349, 9456, 8954, 581, 281),
-        "W_13": (1783, 2012, 4615, 1508, 1173),
-        "W_17": (4899, 4604, 11820, 3166, 2591),
-    }, work
+    assert work == SEARCH_WORK, work
+
+
+@pytest.mark.parametrize("k, tests, memo", [(k, *SEARCH_WORK[f"W_{k}"][3:]) for k in (7, 9, 11)])
+def test_certificate_walks_share_their_membership_tests(monkeypatch, k, tests, memo):
+    # the table's walk columns, counted on a fresh semigroup with _contains
+    # patched directly rather than through search_work; the walks ask the
+    # same points as one walk per point, so the memo sizes are those of one
+    # walk per point.  The certificate the shared walks build is the one
+    # verify_gamma builds for the same gamma
+    calls = []
+    contains = semigroups._contains
+
+    def counting(S, c):
+        calls.append(c)
+        return contains(S, c)
+
+    monkeypatch.setattr(semigroups, "_contains", counting)
+    S = build(wedge_gens(k))
+    cert = find_gamma(S)
+    assert len(calls) == tests and len(S._memo) == memo
+    assert cert == verify_gamma(build(wedge_gens(k)), cert.gamma)
 
 
 def test_certificate_witnesses_match_one_walk_per_point():
