@@ -17,25 +17,6 @@ it first tries the constructive witness built from a verified gamma
 translate, which always fires once p^e reaches m_q, and otherwise falls
 back to a capped witness search that reports Unknown rather than claim an
 uncertified nonvanishing.
-
-The window sweep (empirical_hsl) takes the degree box row by row.  Its
-report holds counts, the largest order and the violations, so an outside
-order at most lim = min(largest order so far, bound, e_max) cannot change
-it.  Along a row the interior of -sigma, the non-positive set and the
-outside degrees constructive at a level <= lim are integer intervals;
-the interior and those outside degrees are counted, not visited.
-
-Outside -sigma the capped oracle is monotone along Q: if v - g is outside
--sigma, g in Q, and level e of v - g is zero (by membership, the
-constructive witness or a capped-search witness w), then level e of v is
-zero by the same route, since every u_i only grows when g is added, so
-w's facet stays eligible and v + w = (v - g + w) + g stays in Q.  So a
-visited outside degree's order is at most the least order (or stored
-bound) of its visited outside predecessors v - g, g a generator; only the
-levels below that bound call zero_class, and none when it is at most lim.
-Boundary orders come from the uncapped lattice test, which the capped
-oracle need not match one generator further, so they are never used as a
-bound.
 """
 
 from __future__ import annotations
@@ -156,14 +137,15 @@ FACET_ELEMENT_CACHE = 64  # (facet, cap) entries _facet_elements keeps
 
 
 @lru_cache(maxsize=FACET_ELEMENT_CACHE)
-def _facet_elements(facet_gens, gen_forms, grading, cap):
+def _facet_elements(facet_gens, gen_forms, cap):
     """Nonzero facet semigroup elements with grading value <= cap, by level.
 
-    gen_forms are the support-form vectors of facet_gens.  Returns
-    (element, coefficients, form vector) triples in search order, at
-    most FACET_ELEMENT_LIMIT of them.
+    gen_forms are the support-form vectors of facet_gens; the grading is
+    the sum of the support forms, so an element's level is the sum of its
+    form vector.  Returns (element, coefficients, form vector) triples in
+    search order, at most FACET_ELEMENT_LIMIT of them.
     """
-    zero = (0,) * len(grading)
+    zero = (0,) * len(facet_gens[0])
     heap = [(0, zero, (0,) * len(facet_gens), (0,) * len(gen_forms[0]))]
     seen = {zero}
     out = []
@@ -172,7 +154,7 @@ def _facet_elements(facet_gens, gen_forms, grading, cap):
         out.append((w, coeffs, forms))
         for j, (g, gf) in enumerate(zip(facet_gens, gen_forms)):
             nxt = vec_add(w, g)
-            nlv = lv + dot(grading, g)
+            nlv = lv + sum(gf)
             if nlv <= cap and nxt not in seen:
                 seen.add(nxt)
                 bumped = tuple(c + (1 if jj == j else 0) for jj, c in enumerate(coeffs))
@@ -265,7 +247,7 @@ def zero_class(
             continue  # facet semigroup is {0}; w = 0 was already ruled out
         truncated = True
         gen_forms = tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices)
-        for w, coeffs, w_forms in _facet_elements(fd.facet_gens, gen_forms, S.grading, cap):
+        for w, coeffs, w_forms in _facet_elements(fd.facet_gens, gen_forms, cap):
             c = tuple(map(add, signs, w_forms))
             if min(c) < 0:
                 continue
@@ -322,6 +304,48 @@ def _check_limits(p: int, **limits: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _level_walk(S, cert, facets, v, signs, p: int, cap: int, top: int) -> list:
+    """zero_class on p^e v for e = 0, 1, ... below top, up to the first
+    zero level; returns the statuses computed.
+
+    signs is v's support-form vector, scaled along with v.  Outside -sigma
+    a level with p^e >= m_q must come out zero via the constructive
+    witness; that is asserted, not assumed.
+    """
+    statuses = []
+    power = 1
+    for e in range(top):
+        st = zero_class(
+            S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
+        )
+        statuses.append(st)
+        if st.is_zero:
+            break
+        if power >= cert.m_q and max(signs) > 0:
+            raise AssertionError(
+                f"constructive witness failed at p^{e} >= m_q for degree {v}"
+            )
+        power *= p
+    return statuses
+
+
+def _boundary_top(facets, zero_facets, p: int) -> int:
+    """The level that decides a boundary degree with these zero facets.
+
+    The class of v in T_i = (hyperplane lattice) / L_i has an order
+    dividing d, the largest invariant factor of facet i; if a power of p
+    kills it, that order is some p^k <= d.
+    """
+    return max(
+        (
+            _least_exponent(max(facets[i].invariant_factors), p)
+            for i in zero_facets
+            if facets[i].facet_gens
+        ),
+        default=0,
+    )
+
+
 def frobenius_orbit(
     S: AffineSemigroup,
     cert: GammaCertificate,
@@ -335,56 +359,30 @@ def frobenius_orbit(
 
     Once a level is zero, the next level reuses the scaled witness: if w
     kills p^e v then p*(p^e v + w) stays in the semigroup, so p*w kills
-    the next level.  Outside -sigma, levels with p^e >= m_q must come out
-    zero via the constructive witness; that is asserted, not assumed.  A
-    boundary degree with no zero level up to e_max is tested on, up to
-    the level its facets' invariant factors bound, which decides it; only
-    the statuses of levels 0..e_max are kept.  Raises ValueError for p < 2
-    or a negative e_max or cap.
+    the next level.  A boundary degree with no zero level up to e_max is
+    tested on, up to the level its facets' invariant factors bound, which
+    decides it; only the statuses of levels 0..e_max are kept.  Raises
+    ValueError for p < 2 or a negative e_max or cap, and AssertionError
+    where _level_walk's constructive witness fails.
     """
     _check_limits(p, e_max=e_max, cap=cap)
     v = vector(v)
     signs = sign_vector(S.cone, v)
     neg = neg_region(signs)
-    outside = neg.kind == "outside_neg"
     top = e_max
     if neg.kind == "neg_boundary":
-        # the class of v in T_i = (hyperplane lattice) / L_i has an order
-        # dividing d, the largest invariant factor of facet i; if a power
-        # of p kills it, that order is some p^k <= d
-        for i in neg.zero_facets:
-            if facets[i].facet_gens:
-                top = max(top, _least_exponent(max(facets[i].invariant_factors), p))
-    statuses: list[ZeroClassResult] = []
-    first_zero: int | None = None
-    power = 1
-    for e in range(top + 1):
-        if first_zero is None:
-            st = zero_class(
-                S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
-            )
-            if st.is_zero:
-                first_zero = e
-        elif e > e_max:
-            break
-        else:
-            prev = statuses[-1]
-            st = _zero(
-                prev.facet,
-                vec_scale(prev.witness, p),
-                tuple(c * p for c in prev.witness_coeffs),
-            )
-        if outside and power >= cert.m_q and not st.is_zero:
-            raise AssertionError(
-                f"constructive witness failed at p^{e} >= m_q for degree {v}"
-            )
-        statuses.append(st)
-        power *= p
-    if first_zero is not None:
-        kind = "nilpotent"
-    else:
-        kind = "unknown" if outside else "not_nilpotent"
-    return OrbitReport(v, p, tuple(statuses[: e_max + 1]), kind, first_zero)
+        top = max(top, _boundary_top(facets, neg.zero_facets, p))
+    statuses = _level_walk(S, cert, facets, v, signs, p, cap, top + 1)
+    if not statuses[-1].is_zero:
+        kind = "unknown" if neg.kind == "outside_neg" else "not_nilpotent"
+        return OrbitReport(v, p, tuple(statuses[: e_max + 1]), kind, None)
+    order = len(statuses) - 1
+    while len(statuses) <= e_max:
+        prev = statuses[-1]
+        statuses.append(
+            _zero(prev.facet, vec_scale(prev.witness, p), tuple(c * p for c in prev.witness_coeffs))
+        )
+    return OrbitReport(v, p, tuple(statuses[: e_max + 1]), "nilpotent", order)
 
 
 # ---------------------------------------------------------------------------
@@ -485,37 +483,6 @@ def _constructive_level(signs, thresholds, e_max: int) -> int:
 UNSET = 255  # an order-table byte with no order stored
 
 
-def _outside_order(
-    S, cert, facets, v, signs, p, e_max, cap, thresholds, known=None
-) -> int | None:
-    """Least e <= e_max with [x^{p^e v}] zero, for v outside -sigma.
-
-    The constructive level e_c is read off the thresholds.  known, when
-    given, is a level known to be zero at this cap for some v - g, g in Q,
-    that is itself outside -sigma: its order, or an upper bound on it.
-    Every route that kills level e of v - g kills level e of v: the
-    conductor and membership tests because Q + g lies in Q, the
-    constructive test because u_i(g) >= 0, and a capped-search witness w
-    on facet i because u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible
-    and v + w - g in Q gives v + w in Q.  The order of a boundary v - g
-    comes from the uncapped lattice test and has no such relation to v.
-    Only the levels below min(known, e_c) go to zero_class, in order, with
-    the signs scaled by p^e; the order is the first zero among them, or
-    that minimum.
-    """
-    top = _constructive_level(signs, thresholds, e_max)
-    if known is not None:
-        top = min(top, known)
-    power = 1
-    for e in range(top):
-        if zero_class(
-            S, cert, facets, vec_scale(v, power), cap, signs=vec_scale(signs, power)
-        ).is_zero:
-            return e
-        power *= p
-    return top if top <= e_max else None
-
-
 def _row_interval(base, column, bounds, window: int) -> range:
     """The x in [-window, window] with base_i + x * column_i <= bounds_i
     for every i: one floor or ceiling division per form with a nonzero
@@ -575,44 +542,50 @@ def empirical_hsl(
     """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
 
     The report is the one per-degree frobenius_orbit calls would give,
-    but orders are computed only where they can change it: an order at
-    most lim = min(empirical_max so far, bound, e_max) is nilpotent, no
-    violation and no new maximum.  The box is taken one row (all but the
-    last coordinate fixed) at a time.  Along a row the support-form values
-    are affine in the last coordinate x: s(x) = s0 + x * L, with s0 a sum
-    of multiples of the other form columns and L the last column.  So the
-    interior of -sigma, the non-positive set and the degrees whose
-    constructive level e_c (the least e with some p^e s_i >= u_i(gamma),
-    read from the thresholds ceil(u_i(gamma) / p^e)) exceeds lim are
-    intervals, with one floor or ceiling division per form.  The row
-    splits into:
+    but orders are computed only where they can change it: an outside
+    order at most lim = min(empirical_max so far, bound, e_max) is
+    nilpotent, no violation and no new maximum.  The box is taken one row
+    (all but the last coordinate fixed) at a time.  Along a row the
+    support-form values are affine in the last coordinate x:
+    s(x) = s0 + x * L, with s0 a sum of multiples of the other form
+    columns and L the last column.  So the interior of -sigma, the
+    non-positive set and the degrees whose constructive level e_c (the
+    least e with some p^e s_i >= u_i(gamma), read from the thresholds
+    ceil(u_i(gamma) / p^e)) exceeds lim are intervals, with one floor or
+    ceiling division per form.  The row splits into:
 
     * the interior (every s_i < 0): not nilpotent; counted;
     * outside -sigma with e_c <= lim: counted;
-    * the boundary (every s_i <= 0, some = 0), visited: frobenius_orbit,
-      whose lattice test is exact at every level and runs up to the level
-      the facets' invariant factors bound, whatever e_max is;
+    * the boundary (every s_i <= 0, some = 0), visited: its levels go to
+      zero_class up to the first zero, at most up to the level the zero
+      facets' invariant factors bound (_boundary_top), whatever e_max is;
+      the lattice test is exact, so that decides it;
     * the other outside degrees, visited.  The order is at most k, the
       least order table entry at a v - g, g a generator, visited earlier.
       If k <= lim the degree is counted, with k stored as its entry; so
       is one with e_c <= lim after lim rose in this row.  Otherwise the
       levels below min(k, e_c) go to zero_class, stopping at the first
       zero; the order is that minimum when none is zero, unknown past
-      e_max.  As in frobenius_orbit, a nonzero level with p^e >= m_q,
-      e <= e_max, raises AssertionError.
+      e_max.
 
-    Every table entry is a zero level of its degree at this cap (an order
-    or a stored k), so by relation (M) (see _outside_order) the levels
-    below k decide the order exactly.  (M) fails for boundary orders,
-    which are exact and uncapped: on D3 at p = 5 the boundary degree
-    (-6,2,-6) has order 0 and (-2,1,-5), one generator further, capped
-    order 1; they are never stored.  The table has one byte per box
-    degree; UNSET marks no entry.  e_c only falls along Q and lim never
-    falls, so the successors of a degree counted by e_c are counted too.
+    Relation (M): for v and v - g outside -sigma, g in Q, a level of
+    v - g that is zero at this cap is zero for v.  The conductor and
+    membership tests pass because Q + g lies in Q, the constructive test
+    because u_i(g) >= 0, and a capped-search witness w on facet i because
+    u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible and v + w - g in Q
+    gives v + w in Q.  Every table entry is a zero level of its degree at
+    this cap (an order or a stored k), so the levels below k decide the
+    order exactly.  (M) fails for boundary orders, which are exact and
+    uncapped: on D3 at p = 5 the boundary degree (-6,2,-6) has order 0
+    and (-2,1,-5), one generator further, capped order 1; they are never
+    stored.  The table has one byte per box degree; UNSET marks no entry.
+    e_c only falls along Q and lim never falls, so the successors of a
+    degree counted by e_c are counted too.
 
-    Visited degrees are taken in lexicographic order, so frobenius_orbit
-    sees those of a degree-by-degree walk in its order.  Raises ValueError
-    for p < 2, a negative window, e_max or cap, or a box of more than
+    Visited degrees are taken in lexicographic order.  As in
+    frobenius_orbit, an outside level with p^e >= m_q that zero_class
+    does not kill raises AssertionError.  Raises ValueError for p < 2, a
+    negative window, e_max or cap, or a box of more than
     MAX_WINDOW_DEGREES degrees.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
@@ -620,7 +593,6 @@ def empirical_hsl(
     width = 2 * window + 1
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
-    e_witness = _least_exponent(cert.m_q, p)
     thresholds = _constructive_thresholds(cert.facet_values, p, e_max)
     # facets with an invariant factor divisible by p; a boundary degree on
     # one of them is flagged when the bound is withheld
@@ -690,28 +662,27 @@ def empirical_hsl(
                 v = prefix + (x,)
                 signs = tuple(b + x * c for b, c in zip(base, last))
                 if boundary:
-                    # e_max 0 is exact: only kind and order are read, and
-                    # the orbit still tests up to its invariant factors' top
-                    orbit = frobenius_orbit(S, cert, facets, v, p, 0, cap)
-                    kind, order = orbit.kind, orbit.order
+                    stop = _boundary_top(facets, neg_region(signs).zero_facets, p) + 1
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)
                 elif any(map(ge, signs, skip)):  # e_c <= lim after lim rose in this row
                     class_counts["nilpotent"] += 1
                     continue
                 else:
-                    order = _outside_order(
-                        S, cert, facets, v, signs, p, e_max, cap, thresholds,
-                        None if known == UNSET else known,
-                    )
-                    if order is not None and order < UNSET:
-                        orders[pos] = order
-                    last_nonzero = e_max if order is None else order - 1
-                    if e_witness <= last_nonzero:
-                        raise AssertionError(
-                            f"constructive witness failed at p^{e_witness} >= m_q for degree {v}"
-                        )
-                    kind = "unknown" if order is None else "nilpotent"
+                    stop = _constructive_level(signs, thresholds, e_max)
+                    if known != UNSET:
+                        stop = min(stop, known)
+                statuses = _level_walk(S, cert, facets, v, signs, p, cap, stop)
+                if statuses[-1].is_zero:
+                    kind, order = "nilpotent", len(statuses) - 1
+                elif boundary:
+                    kind = "not_nilpotent"
+                elif stop <= e_max:  # level stop is zero: e_c or a table entry
+                    kind, order = "nilpotent", stop
+                else:
+                    kind = "unknown"
+                if not boundary and kind == "nilpotent" and order < UNSET:
+                    orders[pos] = order
                 class_counts[kind] += 1
                 if kind == "nilpotent":
                     if order > emp_max:

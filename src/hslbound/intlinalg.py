@@ -410,8 +410,6 @@ def largest_prime_factor(n: int) -> int:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             best = max(best, m)
             continue

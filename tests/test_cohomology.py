@@ -180,6 +180,10 @@ def test_recheck_rejects_forged_evidence(wedge, wedge_ctx, ns35, ns35_ctx, d3, i
     for checked in ((), (0, 1), (1,)):
         forged = replace(res, checked_facets=checked)
         assert forged.recheck(index2, facets, (-1, 0)) is False, checked
+    # nor at a boundary degree on the same zero facet whose lattice holds
+    # it: (-2, 0) is facet 0's generator negated, so its class is zero
+    assert zero_class(index2, cert, facets, (-2, 0), CAP).is_zero
+    assert res.checked_facets == (0,) and res.recheck(index2, facets, (-2, 0)) is False
     # a certificate counts only under a nonzero verdict, and an unknown
     # verdict carries none
     cert, facets = pipeline(d3)
@@ -296,6 +300,17 @@ def test_orbit_rejects_negative_limits(wedge, wedge_ctx, e_max, cap):
     cert, facets = wedge_ctx
     with pytest.raises(ValueError, match="must be nonnegative"):
         frobenius_orbit(wedge, cert, facets, (1, 1), 2, e_max, cap)
+
+
+def test_constructive_witness_failure_raises(index2, index2_ctx):
+    # a certificate whose m_q understates gamma's: a level with p^e >= m_q
+    # that the capped search leaves unknown must raise, not pass as nonzero
+    cert, facets = index2_ctx
+    forged = replace(cert, m_q=1)
+    with pytest.raises(AssertionError, match="constructive witness failed"):
+        frobenius_orbit(index2, forged, facets, (0, 1), 2, 3, 0)
+    with pytest.raises(AssertionError, match="constructive witness failed"):
+        empirical_hsl(index2, forged, facets, 2, 2, 3, 0)
 
 
 @pytest.mark.parametrize("p", [1, 0, -2])
@@ -502,28 +517,40 @@ def sweep_against_orbit_tally(monkeypatch, *args):
     """empirical_hsl(*args) against orbit_tally(*args).
 
     The reports must be equal, and every outside degree the sweep counts
-    without calling _outside_order must be nilpotent of order at most
+    without walking its levels must be nilpotent of order at most
     min(empirical_max, bound): such a degree cannot change the report,
-    which is why the digests of the reports do not check these skips.
-    Returns the report and the number of skipped degrees with order > 0.
+    which is why the digests of the reports do not check these skips.  A
+    walked outside degree tests no level at or past the order of an
+    outside v - g, g a generator, walked before it: the order table
+    vouches for that level.  Returns the report and the number of
+    skipped degrees with order > 0.
     """
-    evaluated = set()
-    real = cohomology._outside_order
+    walked = {}  # outside degree: the number of levels tested, in walk order
+    real = cohomology._level_walk
 
-    def logged(S, cert, facets, v, *rest):
-        evaluated.add(v)
-        return real(S, cert, facets, v, *rest)
+    def logged(S, cert, facets, v, signs, *rest):
+        statuses = real(S, cert, facets, v, signs, *rest)
+        if max(signs) > 0:
+            walked[v] = len(statuses)
+        return statuses
 
     with monkeypatch.context() as m:
-        m.setattr(cohomology, "_outside_order", logged)
+        m.setattr(cohomology, "_level_walk", logged)
         fast = empirical_hsl(*args)
     reference, outside = orbit_tally(*args)
     assert fast.as_dict() == reference.as_dict()
+    before = set()
+    for v, levels in walked.items():
+        for g in args[0].generators:
+            u = vec_sub(v, g)
+            if u in before and outside[u].kind == "nilpotent":
+                assert levels <= outside[u].order, (v, u, levels)
+        before.add(v)
     bound = fast.theoretical_bound
     lim = fast.empirical_max if bound is None else min(fast.empirical_max, bound)
     skipped = 0
     for v, orbit in outside.items():
-        if v not in evaluated:
+        if v not in walked:
             assert orbit.kind == "nilpotent" and orbit.order <= lim, (v, orbit.order, lim)
             skipped += orbit.order > 0
     return fast, skipped
@@ -608,62 +635,54 @@ def test_empirical_hsl_matches_orbit_tally(request, monkeypatch, name, p, window
     ],
 )
 def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, window, e_max, cap):
-    # the sweep hands frobenius_orbit, at e_max 0, the same degrees in the
-    # same order as a degree-by-degree walk, and gets the orders an orbit
-    # at the full e_max gives; the outside degrees it evaluates come in
-    # reference order (it skips those whose order cannot change the
-    # report), each one's zero_class calls are a prefix of the reference
-    # chain, any reference call left out is zero (the level the order
-    # table vouched for), every evaluated order is the reference's, and no
-    # degree is evaluated whose constructive level is at most lim, the
-    # least of the running maximum, the bound and e_max
+    # the sweep walks the boundary degrees in the same order, with the same
+    # zero_class calls, as frobenius_orbit at e_max 0 degree by degree,
+    # and gets the orders an orbit at the full e_max gives; the outside
+    # degrees it walks come in reference order (it skips those whose order
+    # cannot change the report), each one's zero_class calls are a prefix
+    # of the reference chain, any reference call left out is zero (the
+    # level the order table vouched for), every walked order is the
+    # reference's, and no degree is walked whose constructive level is at
+    # most lim, the least of the running maximum, the bound and e_max
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
     orders, chains = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
     # the chains are empty only in tiny windows or when Q is saturated (m_q = 0)
     assert any(chains.values()) or window <= 1 or cert.m_q == 0
-    thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
     for v, order in orders.items():
-        signs = sign_vector(S.cone, v)
-        got = cohomology._outside_order(S, cert, facets, v, signs, p, e_max, cap, thresholds)
-        assert got == order, v
+        assert frobenius_orbit(S, cert, facets, v, p, e_max, cap).order == order, v
     boundary = boundary_degrees(S, window)
     # the boundary orders at the full e_max, which the sweep's must equal
-    full_orders = {
-        v: cohomology.frobenius_orbit(S, cert, facets, v, p, e_max, cap).order for v in boundary
-    }
-    events = []  # (caller, degree, the degrees it handed to zero_class)
-    sweep_orders = {}  # by degree: the order, None unless nilpotent
-    real_zero_class, real_orbit = cohomology.zero_class, cohomology.frobenius_orbit
-    real_outside_order = cohomology._outside_order
+    full_orders = {v: frobenius_orbit(S, cert, facets, v, p, e_max, cap).order for v in boundary}
+    events = []  # (region, degree, the degrees it handed to zero_class)
+    sweep_orders = {}  # by degree: the order the walk gives, None unless nilpotent
+    real_zero_class, real_walk = cohomology.zero_class, cohomology._level_walk
 
     def zero_class_logged(S, cert, facets, v, cap, **kw):
         events[-1][2].append(tuple(v))
         return real_zero_class(S, cert, facets, v, cap, **kw)
 
-    def orbit_logged(S, cert, facets, v, *args):
-        events.append(("frobenius_orbit", tuple(v), []))
-        orbit = real_orbit(S, cert, facets, v, *args)
-        sweep_orders[tuple(v)] = orbit.order
-        return orbit
-
-    def outside_order_logged(S, cert, facets, v, *args):
-        events.append(("outside", v, []))
-        sweep_orders[v] = real_outside_order(S, cert, facets, v, *args)
-        return sweep_orders[v]
+    def walk_logged(S, cert, facets, v, signs, p, cap, top):
+        outside = max(signs) > 0
+        events.append(("outside" if outside else "boundary", tuple(v), []))
+        statuses = real_walk(S, cert, facets, v, signs, p, cap, top)
+        if statuses[-1].is_zero:
+            sweep_orders[tuple(v)] = len(statuses) - 1
+        else:  # an outside level top is zero: e_c or a table entry
+            sweep_orders[tuple(v)] = top if outside and top <= e_max else None
+        return statuses
 
     monkeypatch.setattr(cohomology, "zero_class", zero_class_logged)
-    monkeypatch.setattr(cohomology, "frobenius_orbit", orbit_logged)
-    monkeypatch.setattr(cohomology, "_outside_order", outside_order_logged)
+    monkeypatch.setattr(cohomology, "_level_walk", walk_logged)
     cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
     sweep_events = events.copy()
     events.clear()
     for v in boundary:
         cohomology.frobenius_orbit(S, cert, facets, v, p, 0, cap)
-    assert ("frobenius_orbit", S.zero) in [e[:2] for e in events]
-    assert [e for e in sweep_events if e[0] == "frobenius_orbit"] == events
+    assert ("boundary", S.zero) in [e[:2] for e in events]
+    assert [e for e in sweep_events if e[0] == "boundary"] == events
     assert all(sweep_orders[v] == order for v, order in full_orders.items())
-    outside = [(v, calls) for caller, v, calls in sweep_events if caller == "outside"]
+    outside = [(v, calls) for region, v, calls in sweep_events if region == "outside"]
     reference = iter(v for v, chain in chains.items() if chain)
     assert all(v in reference for v, _ in outside)  # a subsequence, in order
     for v, calls in outside:
@@ -673,9 +692,10 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
             assert real_zero_class(S, cert, facets, d, cap).is_zero, (v, d)
         assert sweep_orders[v] == orders[v], v
     bound = theoretical_bound(cert, n_q(S, facets), p)
+    thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
     running_max = 0
-    for caller, v, _ in sweep_events:
-        if caller == "outside":
+    for region, v, _ in sweep_events:
+        if region == "outside":
             lim = min(running_max, e_max, e_max if bound is None else bound)
             level = cohomology._constructive_level(sign_vector(S.cone, v), thresholds, e_max)
             assert level > lim, (v, level, lim)
@@ -806,7 +826,6 @@ def test_facet_search_stops_at_the_element_limit(request, monkeypatch):
                 cohomology._facet_elements(
                     fd.facet_gens,
                     tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices),
-                    S.grading,
                     cap,
                 )
                 for fd in facets
@@ -903,8 +922,15 @@ def test_sweep_work_pinned(request, monkeypatch):
 
         return wrapper
 
-    for name, tally in (("zero_class", verdicts), ("frobenius_orbit", None), ("_outside_order", None)):
+    for name, tally in (("zero_class", verdicts), ("frobenius_orbit", None)):
         monkeypatch.setattr(cohomology, name, counting(name, getattr(cohomology, name), tally))
+    real_walk = cohomology._level_walk
+
+    def walk_counted(S, cert, facets, v, signs, *rest):
+        calls["outside walk" if max(signs) > 0 else "boundary walk"] += 1
+        return real_walk(S, cert, facets, v, signs, *rest)
+
+    monkeypatch.setattr(cohomology, "_level_walk", walk_counted)
     real_hnf = intlinalg.hermite_normal_form
     hnf = counting("hermite_normal_form", real_hnf)
     for module in (intlinalg, cones, semigroups, cohomology):
@@ -915,7 +941,8 @@ def test_sweep_work_pinned(request, monkeypatch):
     # at most one Hermite form per facet lattice, kept on its FacetData
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
-    assert calls == {"zero_class": 562, "frobenius_orbit": 340, "_outside_order": 141}
+    # every level goes through the one walk; frobenius_orbit is not called
+    assert calls == {"zero_class": 562, "boundary walk": 340, "outside walk": 141}
     assert verdicts == {"zero": 412, "nonzero": 147, "unknown": 3}
 
 
