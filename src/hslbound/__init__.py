@@ -6,18 +6,11 @@ constants m_Q and N_Q controlling the Hartshorne-Speiser-Lyubeznik number
 of the top local cohomology in characteristic p, and verifies the bound
 ceil(log_p m_Q) empirically by simulating the Frobenius action on
 monomial classes.
+
+The sweep module, `cohomology`, loads on first use of one of its names,
+so `analyze` and `bound` never import it.
 """
 
-from .cohomology import (
-    HslReport,
-    OrbitReport,
-    ZeroClassResult,
-    empirical_hsl,
-    frobenius_orbit,
-    hsl_exact_dim1,
-    theoretical_bound,
-    zero_class,
-)
 from .cones import (
     Cone,
     RegionTag,
@@ -57,8 +50,21 @@ from .semigroups import (
     member,
     n_q,
     saturation_residues,
+    theoretical_bound,
     verify_gamma,
 )
+
+
+def __getattr__(name):
+    # a public name not bound here is the sweep module's; it is read from
+    # there on every access, so a patch of cohomology.zero_class is what
+    # hslbound.zero_class returns too
+    if name in __all__:
+        from . import cohomology
+
+        return getattr(cohomology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -19,10 +19,11 @@ import json
 import os
 import sys
 
-from .cohomology import MAX_WINDOW_DEGREES, check_window, empirical_hsl, hsl_exact_dim1, theoretical_bound
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import MILLER_RABIN_LIMIT, is_prime
-from .semigroups import AffineSemigroup, all_facet_data, build, find_gamma, n_q
+from .semigroups import (
+    MAX_WINDOW_DEGREES, AffineSemigroup, all_facet_data, build, find_gamma, n_q, theoretical_bound,
+)
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -180,6 +181,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .cohomology import check_window, empirical_hsl  # loaded only by the commands that sweep
+
     check_prime(args.prime)
     if args.window < 1:
         raise InputError("--window must be at least 1")
@@ -205,6 +208,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim1(args) -> int:
+    from .cohomology import hsl_exact_dim1
+
     check_prime(args.prime)
     S = build(load_input(args.input))
     if S.dim != 1:

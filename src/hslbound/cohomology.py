@@ -33,11 +33,15 @@ from .intlinalg import IntVector, dot, vec_add, vec_mat, vec_scale, vector
 from .semigroups import (
     AffineSemigroup,
     FacetData,
+    MAX_WINDOW_DEGREES,
     GammaCertificate,
+    _check_limits,
     _contains,
+    _least_exponent,
     facet_witness_combo,
     member,
     n_q,
+    theoretical_bound,
 )
 
 
@@ -125,13 +129,13 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
 
 
 # Resource limits.  A sweep's box holds at most MAX_WINDOW_DEGREES
-# degrees.  The capped search lists at most FACET_ELEMENT_LIMIT facet
+# degrees, a limit kept in semigroups so the CLI's help need not load
+# this module.  The capped search lists at most FACET_ELEMENT_LIMIT facet
 # elements per (facet, cap), where the count below the cap grows like
 # cap^(rank - 1), and a search that reaches the limit is truncated, so
 # its verdict is unknown.  The cache keeps FACET_ELEMENT_CACHE lists, at
 # worst 64 * 10^4 elements: a full list on D3 (rank 3, five facets)
 # takes about 3 MiB, 64 of them about 200 MiB.
-MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
 FACET_ELEMENT_LIMIT = 10**4  # elements one _facet_elements entry lists at most
 FACET_ELEMENT_CACHE = 64  # (facet, cap) entries _facet_elements keeps
 
@@ -295,15 +299,6 @@ def check_window(window: int, rank: int) -> None:
         )
 
 
-def _check_limits(p: int, **limits: int) -> None:
-    """Refuse p < 2, whose powers never reach m_q, and negative limits."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    for name, value in limits.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 def _level_walk(S, cert, facets, v, signs, p: int, cap: int, top: int) -> list:
     """zero_class on p^e v for e = 0, 1, ... below top, up to the first
     zero level; returns the statuses computed.
@@ -386,28 +381,7 @@ def frobenius_orbit(
 
 
 # ---------------------------------------------------------------------------
-# bounds and the window verifier
-
-
-def theoretical_bound(cert: GammaCertificate, nq: int, p: int) -> int | None:
-    """ceil(log_p m_q), i.e. the least e with p^e >= m_q; None if p <= nq.
-
-    m_q <= 1 (the saturated case m_q = 0 too) gives 0; p < 2 raises ValueError.
-    """
-    _check_limits(p)
-    if p <= nq:
-        return None
-    return _least_exponent(cert.m_q, p)
-
-
-def _least_exponent(m: int, p: int) -> int:
-    """The least e with p^e >= m."""
-    e = 0
-    power = 1
-    while power < m:
-        power *= p
-        e += 1
-    return e
+# the window verifier
 
 
 @dataclass(frozen=True)

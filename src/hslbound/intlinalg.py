@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from operator import add, index, mul, sub
 
 IntVector = tuple[int, ...]
@@ -295,6 +294,8 @@ def solve_rational(A, b) -> tuple[Fraction, ...] | None:
     unique solution.  No library path calls it; the test oracles use it
     as a reference independent of the integer routines.
     """
+    from fractions import Fraction  # imported here, as no library path calls this
+
     A = matrix(A)
     m = len(A)
     n = len(A[0]) if A else 0

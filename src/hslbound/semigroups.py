@@ -498,3 +498,39 @@ def n_q(S: AffineSemigroup, facets: tuple[FacetData, ...] | None = None) -> int:
     if not ds:
         return 0
     return max(largest_prime_factor(d) for d in ds)
+
+
+# ---------------------------------------------------------------------------
+# the bound
+
+MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
+
+
+def _check_limits(p: int, **limits: int) -> None:
+    """Refuse p < 2, whose powers never reach m_q, and negative limits."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    for name, value in limits.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def theoretical_bound(cert: GammaCertificate, nq: int, p: int) -> int | None:
+    """ceil(log_p m_q), i.e. the least e with p^e >= m_q; None if p <= nq.
+
+    m_q <= 1 (the saturated case m_q = 0 too) gives 0; p < 2 raises ValueError.
+    """
+    _check_limits(p)
+    if p <= nq:
+        return None
+    return _least_exponent(cert.m_q, p)
+
+
+def _least_exponent(m: int, p: int) -> int:
+    """The least e with p^e >= m."""
+    e = 0
+    power = 1
+    while power < m:
+        power *= p
+        e += 1
+    return e

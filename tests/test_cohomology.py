@@ -319,7 +319,7 @@ def test_prime_below_2_rejected(p):
     S = build(((1, 0), (0, 1)))
     cert, facets = pipeline(S)
     assert cert.m_q == 0
-    with pytest.raises(ValueError, match="p must be at least 2"):
+    with pytest.raises(ValueError, match=f"^p must be at least 2, got {p}$"):
         theoretical_bound(cert, 0, p)
     with pytest.raises(ValueError, match="p must be at least 2"):
         frobenius_orbit(S, cert, facets, (1, 1), p, 3, CAP)

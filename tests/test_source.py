@@ -6,6 +6,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -265,3 +269,67 @@ def test_readme_documents_the_interface():
     words += ["MAX_WINDOW_DEGREES", "FACET_ELEMENT_LIMIT", "FACET_ELEMENT_CACHE", str(cli.MILLER_RABIN_LIMIT)]
     missing = [w for w in words if w not in readme]
     assert "--window" in words and not missing, f"not in the README: {missing}"
+
+
+DEMO_INPUTS = ROOT / "demos" / "inputs"
+
+# (argv, whether the sweep module is loaded after it)
+SWEEP_FOOTPRINT = (
+    (["analyze", "--input", str(DEMO_INPUTS / "wedge2d.json")], False),
+    (["bound", "--input", str(DEMO_INPUTS / "wedge2d.json"), "--prime", "7"], False),
+    (["verify", "--help"], False),
+    (["verify", "--input", str(DEMO_INPUTS / "wedge2d.json"), "--prime", "2", "--window", "3"], True),
+    (["dim1", "--input", str(DEMO_INPUTS / "numerical_3_5.json"), "--prime", "2"], True),
+)
+
+
+@pytest.mark.parametrize("argv, loads", SWEEP_FOOTPRINT, ids=["analyze", "bound", "verify-help", "verify", "dim1"])
+def test_sweep_module_loads_only_for_the_sweep(argv, loads):
+    # analyze and bound, the bound's own commands, never import cohomology:
+    # each case runs in a fresh interpreter, whose modules it then lists
+    path_dirs = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from hslbound import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'hslbound.cohomology' in sys.modules, out.getvalue()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, out = json.loads(proc.stdout)
+    assert code == 0 and loaded == loads, proc.stderr
+    if "--help" in argv:
+        assert "at most 1000000" in " ".join(out.split())
+
+
+def test_public_names_are_their_defining_modules_objects(monkeypatch):
+    # each public name, and the window limit, is defined in one module; the
+    # package serves the sweep module's names on first use and reads them
+    # from it on every access, so a patch there is seen through the package
+    hslbound = importlib.import_module("hslbound")
+    cohomology = importlib.import_module("hslbound.cohomology")
+    defined = defaultdict(list)
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name].append(path.stem)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    defined[getattr(target, "id", None)].append(path.stem)
+    assert defined["MAX_WINDOW_DEGREES"] == ["semigroups"]
+    for name in hslbound.__all__:
+        assert len(defined[name]) == 1, f"{name} defined in {defined[name]}"
+        home = importlib.import_module(f"hslbound.{defined[name][0]}")
+        assert getattr(hslbound, name) is getattr(home, name), name
+    namespace = {}
+    exec("from hslbound import *", namespace)
+    assert all(namespace[name] is getattr(hslbound, name) for name in hslbound.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hslbound.no_such_name
+    monkeypatch.setattr(cohomology, "zero_class", object())
+    assert hslbound.zero_class is cohomology.zero_class
