@@ -529,32 +529,30 @@ def empirical_hsl(
     ceiling division per form.  The row splits into:
 
     * the interior (every s_i < 0): not nilpotent; counted;
-    * outside -sigma with e_c <= lim: counted;
+    * outside -sigma with e_c <= lim, lim as the row starts: counted;
     * the boundary (every s_i <= 0, some = 0), visited: its levels go to
       zero_class up to the first zero, at most up to the level the zero
       facets' invariant factors bound (_boundary_top), whatever e_max is;
       the lattice test is exact, so that decides it;
     * the other outside degrees, visited.  The order is at most k, the
       least order table entry at a v - g, g a generator, visited earlier.
-      If k <= lim the degree is counted, with k stored as its entry; so
-      is one with e_c <= lim after lim rose in this row.  Otherwise the
-      levels below min(k, e_c) go to zero_class, stopping at the first
-      zero; the order is that minimum when none is zero, unknown past
-      e_max.
+      If k <= lim the degree is counted, with k stored as its entry.
+      Otherwise the levels below e_c go to zero_class, stopping at the
+      first zero; the order is e_c when none is zero, unknown past e_max.
 
     Relation (M): for v and v - g outside -sigma, g in Q, a level of
     v - g that is zero at this cap is zero for v.  The conductor and
     membership tests pass because Q + g lies in Q, the constructive test
     because u_i(g) >= 0, and a capped-search witness w on facet i because
     u_i(v) >= u_i(v - g) >= 0 keeps facet i eligible and v + w - g in Q
-    gives v + w in Q.  Every table entry is a zero level of its degree at
-    this cap (an order or a stored k), so the levels below k decide the
-    order exactly.  (M) fails for boundary orders, which are exact and
-    uncapped: on D3 at p = 5 the boundary degree (-6,2,-6) has order 0
-    and (-2,1,-5), one generator further, capped order 1; they are never
-    stored.  The table has one byte per box degree; UNSET marks no entry.
-    e_c only falls along Q and lim never falls, so the successors of a
-    degree counted by e_c are counted too.
+    gives v + w in Q.  A table entry is a zero level of its degree at
+    this cap (an order or a stored k), so it bounds the order.  (M) fails
+    for boundary orders, which are exact and uncapped: on D3 at p = 5 the
+    boundary degree (-6,2,-6) has order 0 and (-2,1,-5), one generator
+    further, capped order 1; they are never stored.  The table has one
+    byte per box degree; UNSET marks no entry.  e_c only falls along Q
+    and lim never falls, so the successors of a degree counted by e_c are
+    counted too.
 
     Visited degrees are taken in lexicographic order.  As in
     frobenius_orbit, an outside level with p^e >= m_q that zero_class
@@ -639,19 +637,14 @@ def empirical_hsl(
                     stop = _boundary_top(facets, neg_region(signs).zero_facets, p) + 1
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)
-                elif any(map(ge, signs, skip)):  # e_c <= lim after lim rose in this row
-                    class_counts["nilpotent"] += 1
-                    continue
                 else:
                     stop = _constructive_level(signs, thresholds, e_max)
-                    if known != UNSET:
-                        stop = min(stop, known)
                 statuses = _level_walk(S, cert, facets, v, signs, p, cap, stop)
                 if statuses[-1].is_zero:
                     kind, order = "nilpotent", len(statuses) - 1
                 elif boundary:
                     kind = "not_nilpotent"
-                elif stop <= e_max:  # level stop is zero: e_c or a table entry
+                elif stop <= e_max:  # level stop = e_c is zero
                     kind, order = "nilpotent", stop
                 else:
                     kind = "unknown"

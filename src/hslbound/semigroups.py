@@ -42,7 +42,8 @@ class _AperyTable:
     u(e) is largest.  The semigroup meets a line in {q + t·u(e) : t >= 0}
     or not at all, and the least element q uses no e, so the table is a
     shortest-path search from the line of 0 with one edge per other
-    generator, weighted by its grading (the Apéry set along e).
+    generator, weighted by its grading (the Apéry set along e, built as
+    by Nijenhuis 1979).
     settle(G) pops it until every heap entry exceeds G (an inf entry ends
     it), when each line of least grading at most G is final.  The key of
     c + r is the sum of theirs, less u(e) if their i-th entries reach
@@ -114,7 +115,8 @@ class _AperyTable:
 
     def tree(self, line, level):
         """(k, line') for each step k (the generators but e) from the least
-        point of line, of grading level, to the least point of line'."""
+        point of line, of grading level, to the least point of line'.  It
+        settles the table up to level plus the largest generator grading."""
         self.settle(level + self._top)
         least = self._least
         r = line[self._i]
@@ -364,10 +366,13 @@ def find_gamma(S: AffineSemigroup, budget: int = 10000) -> GammaCertificate:
     the table's shortest-path tree pops (table.tree), any other point by
     the probe before it on its chain: each point at most once, and each
     push raises the key, so probes pop in key order and the first that
-    passes table.first_failure is optimal.  A failed probe's chain resumes
-    at its first point of grading at least what that returns; the residue
-    order changes the probes, not the winner.  No answer is cached, and
-    the frontier is freed before one walk builds the winner's witnesses.
+    passes table.first_failure is optimal.  Probes are points of the
+    semigroup, so only probe + rho is tested.  A failed probe's chain
+    resumes at its first point of grading at least what that returns;
+    every point skipped fails, so the winner is the one a walk over every
+    generator sum would return.  The residue order changes the probes,
+    not the winner.  No answer is cached, and the frontier is freed
+    before one walk builds the winner's witnesses.
 
     budget is the number of probes popped.  When it runs out first,
     BudgetExhaustedError reports that count and the largest grading level

@@ -45,28 +45,30 @@ def test_analyze_wedge(tmp_path, capsys):
     assert doc["bounds"]["2"] == 6 and doc["bounds"]["7"] == 2
 
 
+# every key of the analyze and verify output, nested ones by their path
+OUTPUT_KEYS = {
+    "analyze": [
+        "ambient_dim", "bounds", "extreme_rays", "facet_values", "facets", "gamma", "generators",
+        "grading", "lattice_basis", "m_q", "min_facet_value_uncertified", "n_q", "pointed", "rank",
+        "saturated", "support_forms",
+    ],
+    "analyze facets": ["generators", "index", "interior_element", "invariant_factors", "support_form"],
+    "verify": [
+        "cap", "class_counts", "e_max", "empirical_max", "n_q", "prime", "region_counts",
+        "small_char_flags", "theoretical_bound", "violations", "window",
+    ],
+    "verify region_counts": ["neg_boundary", "neg_interior", "outside_neg"],
+    "verify class_counts": ["nilpotent", "not_nilpotent", "unknown"],
+    "verify violations": ["degree", "order"],
+}
+
+
 def test_analyze_schema_is_stable(tmp_path, capsys):
     path = write_input(tmp_path, WEDGE)
     _, out, _ = run(capsys, "analyze", "--input", path)
     doc = json.loads(out)
-    assert sorted(doc) == [
-        "ambient_dim",
-        "bounds",
-        "extreme_rays",
-        "facet_values",
-        "facets",
-        "gamma",
-        "generators",
-        "grading",
-        "lattice_basis",
-        "m_q",
-        "min_facet_value_uncertified",
-        "n_q",
-        "pointed",
-        "rank",
-        "saturated",
-        "support_forms",
-    ]
+    assert sorted(doc) == OUTPUT_KEYS["analyze"]
+    assert all(sorted(facet) == OUTPUT_KEYS["analyze facets"] for facet in doc["facets"])
     assert json.loads(json.dumps(doc)) == doc
 
 
@@ -74,19 +76,9 @@ def test_verify_schema_is_stable(tmp_path, capsys):
     path = write_input(tmp_path, NS35)
     _, out, _ = run(capsys, "verify", "--input", path, "--prime", "3", "--window", "4")
     doc = json.loads(out)
-    assert sorted(doc) == [
-        "cap",
-        "class_counts",
-        "e_max",
-        "empirical_max",
-        "n_q",
-        "prime",
-        "region_counts",
-        "small_char_flags",
-        "theoretical_bound",
-        "violations",
-        "window",
-    ]
+    assert sorted(doc) == OUTPUT_KEYS["verify"]
+    for key in ("region_counts", "class_counts"):
+        assert sorted(doc[key]) == OUTPUT_KEYS[f"verify {key}"]
 
 
 def test_analyze_numerical_values(tmp_path, capsys):
@@ -316,6 +308,7 @@ def test_verify_violations_exit_4(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     assert code == 4 and doc["theoretical_bound"] == 0 and doc["empirical_max"] > 0
     assert doc["violations"] and all(item["order"] > 0 for item in doc["violations"])
+    assert all(sorted(item) == OUTPUT_KEYS["verify violations"] for item in doc["violations"])
     S = build(INDEX2["generators"])
     cert, facets = find_gamma(S), all_facet_data(S)
     for item in doc["violations"]:

@@ -513,39 +513,52 @@ def orbit_tally(S, cert, facets, p, window, e_max, cap):
     return report, outside
 
 
+def log_walks(monkeypatch):
+    """Log every cohomology._level_walk call from now on.
+
+    Returns the list of records, one per walk in call order: (region,
+    degree, top, calls), region "outside" or "boundary", top the walk's
+    level bound and calls the (degree, verdict) pairs it handed to
+    zero_class.  A zero_class call outside a walk fails the test.
+    """
+    walks, current = [], None
+    real_zero_class, real_walk = cohomology.zero_class, cohomology._level_walk
+
+    def zero_class(S, cert, facets, v, cap, **kw):
+        assert current is not None, f"zero_class on {v} outside a level walk"
+        result = real_zero_class(S, cert, facets, v, cap, **kw)
+        current.append((tuple(v), result.verdict))
+        return result
+
+    def walk(S, cert, facets, v, signs, p, cap, top):
+        nonlocal current
+        current = []
+        walks.append(("outside" if max(signs) > 0 else "boundary", tuple(v), top, current))
+        try:
+            return real_walk(S, cert, facets, v, signs, p, cap, top)
+        finally:
+            current = None
+
+    monkeypatch.setattr(cohomology, "zero_class", zero_class)
+    monkeypatch.setattr(cohomology, "_level_walk", walk)
+    return walks
+
+
 def sweep_against_orbit_tally(monkeypatch, *args):
     """empirical_hsl(*args) against orbit_tally(*args).
 
     The reports must be equal, and every outside degree the sweep counts
     without walking its levels must be nilpotent of order at most
     min(empirical_max, bound): such a degree cannot change the report,
-    which is why the digests of the reports do not check these skips.  A
-    walked outside degree tests no level at or past the order of an
-    outside v - g, g a generator, walked before it: the order table
-    vouches for that level.  Returns the report and the number of
-    skipped degrees with order > 0.
+    which is why the digests of the reports do not check these skips.
+    Returns the report and the number of skipped degrees with order > 0.
     """
-    walked = {}  # outside degree: the number of levels tested, in walk order
-    real = cohomology._level_walk
-
-    def logged(S, cert, facets, v, signs, *rest):
-        statuses = real(S, cert, facets, v, signs, *rest)
-        if max(signs) > 0:
-            walked[v] = len(statuses)
-        return statuses
-
     with monkeypatch.context() as m:
-        m.setattr(cohomology, "_level_walk", logged)
+        walks = log_walks(m)
         fast = empirical_hsl(*args)
     reference, outside = orbit_tally(*args)
     assert fast.as_dict() == reference.as_dict()
-    before = set()
-    for v, levels in walked.items():
-        for g in args[0].generators:
-            u = vec_sub(v, g)
-            if u in before and outside[u].kind == "nilpotent":
-                assert levels <= outside[u].order, (v, u, levels)
-        before.add(v)
+    walked = {v for region, v, *_ in walks if region == "outside"}
     bound = fast.theoretical_bound
     lim = fast.empirical_max if bound is None else min(fast.empirical_max, bound)
     skipped = 0
@@ -639,11 +652,10 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
     # zero_class calls, as frobenius_orbit at e_max 0 degree by degree,
     # and gets the orders an orbit at the full e_max gives; the outside
     # degrees it walks come in reference order (it skips those whose order
-    # cannot change the report), each one's zero_class calls are a prefix
-    # of the reference chain, any reference call left out is zero (the
-    # level the order table vouched for), every walked order is the
-    # reference's, and no degree is walked whose constructive level is at
-    # most lim, the least of the running maximum, the bound and e_max
+    # cannot change the report), each one hands zero_class exactly its
+    # reference chain and gets the reference order, and no degree is
+    # walked whose constructive level is at most lim, the least of the
+    # running maximum as its row starts, the bound and e_max
     S = sweep_input(request, name)
     cert, facets = pipeline(S)
     orders, chains = reference_outside_orders(S, cert, facets, p, window, e_max, cap)
@@ -654,49 +666,35 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
     boundary = boundary_degrees(S, window)
     # the boundary orders at the full e_max, which the sweep's must equal
     full_orders = {v: frobenius_orbit(S, cert, facets, v, p, e_max, cap).order for v in boundary}
-    events = []  # (region, degree, the degrees it handed to zero_class)
-    sweep_orders = {}  # by degree: the order the walk gives, None unless nilpotent
-    real_zero_class, real_walk = cohomology.zero_class, cohomology._level_walk
-
-    def zero_class_logged(S, cert, facets, v, cap, **kw):
-        events[-1][2].append(tuple(v))
-        return real_zero_class(S, cert, facets, v, cap, **kw)
-
-    def walk_logged(S, cert, facets, v, signs, p, cap, top):
-        outside = max(signs) > 0
-        events.append(("outside" if outside else "boundary", tuple(v), []))
-        statuses = real_walk(S, cert, facets, v, signs, p, cap, top)
-        if statuses[-1].is_zero:
-            sweep_orders[tuple(v)] = len(statuses) - 1
-        else:  # an outside level top is zero: e_c or a table entry
-            sweep_orders[tuple(v)] = top if outside and top <= e_max else None
-        return statuses
-
-    monkeypatch.setattr(cohomology, "zero_class", zero_class_logged)
-    monkeypatch.setattr(cohomology, "_level_walk", walk_logged)
+    walks = log_walks(monkeypatch)
     cohomology.empirical_hsl(S, cert, facets, p, window, e_max, cap)
-    sweep_events = events.copy()
-    events.clear()
+    sweep = walks.copy()
+    walks.clear()
     for v in boundary:
         cohomology.frobenius_orbit(S, cert, facets, v, p, 0, cap)
-    assert ("boundary", S.zero) in [e[:2] for e in events]
-    assert [e for e in sweep_events if e[0] == "boundary"] == events
+    assert ("boundary", S.zero) in [w[:2] for w in walks]
+    assert [w for w in sweep if w[0] == "boundary"] == walks
+    # a walk's order: its first zero level, else an outside walk's top
+    # (level e_c is zero) up to e_max; None if not nilpotent
+    sweep_orders = {
+        v: len(calls) - 1 if calls and calls[-1][1] == "zero" else
+        top if region == "outside" and top <= e_max else None
+        for region, v, top, calls in sweep
+    }
     assert all(sweep_orders[v] == order for v, order in full_orders.items())
-    outside = [(v, calls) for region, v, calls in sweep_events if region == "outside"]
+    outside = [(v, calls) for region, v, _, calls in sweep if region == "outside"]
     reference = iter(v for v, chain in chains.items() if chain)
     assert all(v in reference for v, _ in outside)  # a subsequence, in order
     for v, calls in outside:
-        chain = chains[v]
-        assert calls == chain[: len(calls)] and len(chain) - len(calls) <= 1, v
-        for d in chain[len(calls):]:
-            assert real_zero_class(S, cert, facets, d, cap).is_zero, (v, d)
+        assert [d for d, _ in calls] == chains[v], v
         assert sweep_orders[v] == orders[v], v
     bound = theoretical_bound(cert, n_q(S, facets), p)
     thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
-    running_max = 0
-    for region, v, _ in sweep_events:
+    running_max, row = 0, None
+    for region, v, *_ in sweep:
+        if v[:-1] != row:  # the row split reads lim as the row starts
+            row, lim = v[:-1], min(running_max, e_max, e_max if bound is None else bound)
         if region == "outside":
-            lim = min(running_max, e_max, e_max if bound is None else bound)
             level = cohomology._constructive_level(sign_vector(S.cone, v), thresholds, e_max)
             assert level > lim, (v, level, lim)
         running_max = max(running_max, sweep_orders[v] or 0)
@@ -898,10 +896,10 @@ SWEEP_WORK_INPUTS = (("wedge", 2, 40), ("index2", 2, 30), ("d3", 5, 8), ("D4", 5
 
 def test_sweep_work_pinned(request, monkeypatch):
     # the work of the five benchmark sweeps, counted: a fallback to a
-    # degree-by-degree walk, an order table that stops bounding outside
-    # chains, a sweep that stops skipping the outside degrees whose order
-    # cannot change the report or a facet Hermite form recomputed per
-    # solve moves these counts.  A pin changes only on purpose, stated
+    # degree-by-degree walk, an outside walk past its constructive level,
+    # a sweep that stops skipping the outside degrees whose order cannot
+    # change the report or a facet Hermite form recomputed per solve
+    # moves these counts.  A pin changes only on purpose, stated
     # with the change.
     cases = []
     for name, p, window in SWEEP_WORK_INPUTS:
@@ -910,27 +908,17 @@ def test_sweep_work_pinned(request, monkeypatch):
         bound = theoretical_bound(cert, n_q(S, facets), p)
         e_max = 10 if bound is None else bound + 2
         cases.append((S, cert, facets, p, window, e_max, 10 * cert.m_q))
-    calls, verdicts = Counter(), Counter()
+    calls = Counter()
 
-    def counting(name, real, tally=None):
+    def counting(name, real):
         def wrapper(*args, **kw):
             calls[name] += 1
-            out = real(*args, **kw)
-            if tally is not None:
-                tally[out.verdict] += 1
-            return out
+            return real(*args, **kw)
 
         return wrapper
 
-    for name, tally in (("zero_class", verdicts), ("frobenius_orbit", None)):
-        monkeypatch.setattr(cohomology, name, counting(name, getattr(cohomology, name), tally))
-    real_walk = cohomology._level_walk
-
-    def walk_counted(S, cert, facets, v, signs, *rest):
-        calls["outside walk" if max(signs) > 0 else "boundary walk"] += 1
-        return real_walk(S, cert, facets, v, signs, *rest)
-
-    monkeypatch.setattr(cohomology, "_level_walk", walk_counted)
+    walks = log_walks(monkeypatch)
+    monkeypatch.setattr(cohomology, "frobenius_orbit", counting("frobenius_orbit", cohomology.frobenius_orbit))
     real_hnf = intlinalg.hermite_normal_form
     hnf = counting("hermite_normal_form", real_hnf)
     for module in (intlinalg, cones, semigroups, cohomology):
@@ -942,7 +930,10 @@ def test_sweep_work_pinned(request, monkeypatch):
     facet_count = sum(len(facets) for _, _, facets, *_ in cases)
     assert facet_count == 19 and calls.pop("hermite_normal_form", 0) <= facet_count
     # every level goes through the one walk; frobenius_orbit is not called
-    assert calls == {"zero_class": 562, "boundary walk": 340, "outside walk": 141}
+    assert not calls
+    assert Counter(region for region, *_ in walks) == {"boundary": 340, "outside": 141}
+    # the 562 zero_class calls, by verdict
+    verdicts = Counter(verdict for *_, levels in walks for _, verdict in levels)
     assert verdicts == {"zero": 412, "nonzero": 147, "unknown": 3}
 
 

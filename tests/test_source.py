@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import WEDGE_GENS
+from test_cli import OUTPUT_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hslbound"
@@ -258,7 +259,8 @@ def test_random_geometry_takes_one_elimination_per_simplex(monkeypatch):
 
 def test_readme_documents_the_interface():
     # the README is the user's reference: every subcommand and its flags,
-    # every exit code, the resource limits by name and the prime limit
+    # every exit code, the resource limits by name, the prime limit and
+    # every output key the schema tests pin, each in backquotes
     cli = importlib.import_module("hslbound.cli")
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -267,6 +269,7 @@ def test_readme_documents_the_interface():
         words += [s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings]
     words += [f"`{code}`" for code in (*range(5), cli.EXIT_BROKEN_PIPE)]
     words += ["MAX_WINDOW_DEGREES", "FACET_ELEMENT_LIMIT", "FACET_ELEMENT_CACHE", str(cli.MILLER_RABIN_LIMIT)]
+    words += [f"`{key}`" for keys in OUTPUT_KEYS.values() for key in keys]
     missing = [w for w in words if w not in readme]
     assert "--window" in words and not missing, f"not in the README: {missing}"
 
