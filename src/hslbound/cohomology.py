@@ -16,14 +16,14 @@ zero; boundary: an integer lattice test facet by facet).  Outside -sigma
 it first tries the constructive witness built from a verified gamma
 translate, which always fires once p^e reaches m_q, and otherwise falls
 back to a capped witness search that reports Unknown rather than claim an
-uncertified nonvanishing.
+uncertified nonvanishing.  It reads at most FACET_ELEMENT_LIMIT elements
+per facet per semigroup, whatever the cap.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from operator import add, ge
 
@@ -130,40 +130,43 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
 
 # Resource limits.  A sweep's box holds at most MAX_WINDOW_DEGREES
 # degrees, a limit kept in semigroups so the CLI's help need not load
-# this module.  The capped search lists at most FACET_ELEMENT_LIMIT facet
-# elements per (facet, cap), where the count below the cap grows like
-# cap^(rank - 1), and a search that reaches the limit is truncated, so
-# its verdict is unknown.  The cache keeps FACET_ELEMENT_CACHE lists, at
-# worst 64 * 10^4 elements: a full list on D3 (rank 3, five facets)
-# takes about 3 MiB, 64 of them about 200 MiB.
-FACET_ELEMENT_LIMIT = 10**4  # elements one _facet_elements entry lists at most
-FACET_ELEMENT_CACHE = 64  # (facet, cap) entries _facet_elements keeps
+# this module.  The capped search reads at most FACET_ELEMENT_LIMIT
+# elements per facet per semigroup, whatever the cap, and a search that
+# reaches the limit is truncated, so its verdict is unknown.  A full
+# list, with its heap and seen set, takes about 4 MiB on D3 (rank 3).
+FACET_ELEMENT_LIMIT = 10**4  # elements one facet's list holds at most
 
 
-@lru_cache(maxsize=FACET_ELEMENT_CACHE)
-def _facet_elements(facet_gens, gen_forms, cap):
-    """Nonzero facet semigroup elements with grading value <= cap, by level.
+def _facet_elements(S: AffineSemigroup, fd: FacetData, cap: int):
+    """Nonzero elements of fd's facet semigroup with grading <= cap, at
+    most FACET_ELEMENT_LIMIT: (level, element, coefficients, form vector)
+    tuples by (level, element).
 
-    gen_forms are the support-form vectors of facet_gens; the grading is
-    the sum of the support forms, so an element's level is the sum of its
-    form vector.  Returns (element, coefficients, form vector) triples in
-    search order, at most FACET_ELEMENT_LIMIT of them.
+    One walk per facet, kept in S._facet_walks, serves every cap and pops
+    only what a caller reads.  Each element takes its coefficients from
+    its first popped predecessor, of lower level, so the elements of any
+    cap are a prefix of the walk.  A facet with generators never empties
+    its heap.
     """
-    zero = (0,) * len(facet_gens[0])
-    heap = [(0, zero, (0,) * len(facet_gens), (0,) * len(gen_forms[0]))]
-    seen = {zero}
-    out = []
-    while heap and len(out) <= FACET_ELEMENT_LIMIT:
-        lv, w, coeffs, forms = heapq.heappop(heap)
-        out.append((w, coeffs, forms))
-        for j, (g, gf) in enumerate(zip(facet_gens, gen_forms)):
-            nxt = vec_add(w, g)
-            nlv = lv + sum(gf)
-            if nlv <= cap and nxt not in seen:
-                seen.add(nxt)
-                bumped = tuple(c + (1 if jj == j else 0) for jj, c in enumerate(coeffs))
-                heapq.heappush(heap, (nlv, nxt, bumped, vec_add(forms, gf)))
-    return tuple(out[1:])
+    walk = S._facet_walks.get(fd.index)
+    if walk is None:
+        gen_forms = tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices)
+        start = (0, S.zero, (0,) * len(gen_forms), (0,) * len(S.support_forms))
+        walk = S._facet_walks[fd.index] = ([], [start], {S.zero}, gen_forms)
+    listed, heap, seen, gen_forms = walk
+    for k in range(1, FACET_ELEMENT_LIMIT + 1):  # listed[0] is the zero element
+        while len(listed) <= k and heap[0][0] <= cap:
+            lv, w, coeffs, forms = entry = heapq.heappop(heap)
+            listed.append(entry)
+            for j, (g, gf) in enumerate(zip(fd.facet_gens, gen_forms)):
+                nxt = vec_add(w, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    bumped = tuple(c + (1 if jj == j else 0) for jj, c in enumerate(coeffs))
+                    heapq.heappush(heap, (lv + sum(gf), nxt, bumped, vec_add(forms, gf)))
+        if len(listed) <= k or listed[k][0] > cap:
+            return
+        yield listed[k]
 
 
 def zero_class(
@@ -196,12 +199,12 @@ def zero_class(
       that facet's interior element until every other form clears its
       gamma value; then v + w sits in gamma + saturation, hence in the
       semigroup.  Otherwise search facet elements up to the cap, at
-      most FACET_ELEMENT_LIMIT per facet, and answer Unknown when the
-      search is truncated.  The search works on form vectors:
-      u(v + w) = signs + u(w), so a candidate with a negative entry is
-      outside the cone and skipped, one with every entry >= u(gamma)
-      lies in gamma + saturation, and any other is decided by the
-      membership oracle.
+      most FACET_ELEMENT_LIMIT per facet per semigroup whatever the cap,
+      and answer Unknown when the search is truncated.  It works on form
+      vectors: u(v + w) = signs + u(w), so a candidate with a negative
+      entry is outside the cone and skipped, one with every entry >=
+      u(gamma) lies in gamma + saturation, and any other is decided by
+      the membership oracle.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -250,8 +253,7 @@ def zero_class(
         if not fd.facet_gens:
             continue  # facet semigroup is {0}; w = 0 was already ruled out
         truncated = True
-        gen_forms = tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices)
-        for w, coeffs, w_forms in _facet_elements(fd.facet_gens, gen_forms, cap):
+        for _, w, coeffs, w_forms in _facet_elements(S, fd, cap):
             c = tuple(map(add, signs, w_forms))
             if min(c) < 0:
                 continue
@@ -539,6 +541,9 @@ def empirical_hsl(
       If k <= lim the degree is counted, with k stored as its entry.
       Otherwise the levels below e_c go to zero_class, stopping at the
       first zero; the order is e_c when none is zero, unknown past e_max.
+      The walk counts an unknown level as nonzero, so an outside order,
+      and empirical_max with it, is an upper bound at the cap: D3 at
+      p = 5, window 8 reads 1 at cap 10 * m_q and 0 at cap 10^6.
 
     Relation (M): for v and v - g outside -sigma, g in Q, a level of
     v - g that is zero at this cap is zero for v.  The conductor and

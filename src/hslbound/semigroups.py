@@ -145,6 +145,8 @@ class AffineSemigroup:
     Apéry table answers, grown up to the largest grading asked.  _memo
     caches one answer per vector that member, the sweep or a certificate's
     shared witness walk asks inside the cone; the gamma search caches none.
+    _facet_walks keeps one capped-search element list per facet index
+    (cohomology._facet_elements), grown only as far as a search reads.
     """
 
     raw_generators: IntMatrix
@@ -153,6 +155,7 @@ class AffineSemigroup:
     cone: Cone
     grading: IntVector
     _memo: dict = field(default_factory=dict, repr=False)
+    _facet_walks: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def _apery(self) -> _AperyTable:
@@ -436,10 +439,11 @@ class FacetData:
 
     coord_matrix expresses the facet generators in the Hermite basis of H,
     read off the Hermite form of the rows (u_j, e_j)
-    (intlinalg.hyperplane_basis); its invariant factors are the same.  No pipeline step reads it, so it is
-    built on first read and kept.  The Hermite form (H, U) of facet_gens,
-    which facet_witness_combo solves against, is likewise built on the
-    first solve and kept, as AffineSemigroup._apery is.
+    (intlinalg.hyperplane_basis); its invariant factors are the same.  No
+    pipeline step reads it, so it is built on first read and kept.  The
+    Hermite form (H, U) of facet_gens, which facet_witness_combo solves
+    against, is likewise built on the first solve and kept, as
+    AffineSemigroup._apery is.
     """
 
     index: int

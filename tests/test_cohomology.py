@@ -232,6 +232,15 @@ def test_capped_search_against_brute_force(request, name, window):
             assert small.verdict == "unknown", v
         verdicts.append(res.verdict)
     assert "zero" in verdicts
+    # each facet's list, read to the end at either cap, is the facet
+    # semigroup below it by level, whatever the scans above grew it to
+    for c in (cap, tiny):
+        for fd in facets:
+            listed = list(cohomology._facet_elements(S, fd, c))
+            levels = [level for level, *_ in listed]
+            assert levels == sorted(levels), (fd.index, c)
+            elements = semigroup_elements_upto(fd.facet_gens, S.grading, c) - {S.zero}
+            assert {w for _, w, _, _ in listed} == elements and len(listed) == len(elements)
 
 
 def test_wrong_length_degrees_rejected(wedge, wedge_ctx):
@@ -808,37 +817,56 @@ def test_orders_past_the_cap_are_exact(request):
         assert frobenius_orbit(S, cert, facets, v, p, 3, 20).order == 0, name
 
 
-def test_facet_search_stops_at_the_element_limit(request, monkeypatch):
+def test_facet_search_stops_at_the_element_limit(monkeypatch):
     # a search that reaches FACET_ELEMENT_LIMIT is truncated, as one the
-    # cap cuts is: under a limit no larger than the cap-20 lists, a huge
-    # cap lists a prefix of each and leaves the level unknown
-    limit = cohomology.FACET_ELEMENT_LIMIT
-    request.addfinalizer(cohomology._facet_elements.cache_clear)
+    # cap cuts is.  index2's (0, 1) has no witness, so at a huge cap its
+    # scan reads the limit on its one eligible facet, behind the zero
+    # element.  A huge cap finds the CAPPED_UNKNOWNS witnesses; under a
+    # limit no larger than the cap-20 lists, a fresh semigroup lists a
+    # prefix of each at a huge cap and leaves the level unknown
     huge = 10**9
+    S = build(INDEX2_GENS)
+    cert, facets = pipeline(S)
+    assert zero_class(S, cert, facets, (0, 1), huge).verdict == "unknown"
+    assert [len(listed) for listed, *_ in S._facet_walks.values()] == [
+        cohomology.FACET_ELEMENT_LIMIT + 1
+    ]
+    gens = {"d3": D3_GENS, "index2": INDEX2_GENS}
     for name, _, v, _, _ in CAPPED_UNKNOWNS:
-        S = request.getfixturevalue(name)
+        S = build(gens[name])
         cert, facets = pipeline(S)
-
-        def listed(cap):
-            return [
-                cohomology._facet_elements(
-                    fd.facet_gens,
-                    tuple(S.cone.generator_forms[j] for j in fd.facet_gen_indices),
-                    cap,
-                )
-                for fd in facets
-            ]
-
         assert zero_class(S, cert, facets, v, huge).is_zero, name
-        assert {len(elements) for elements in listed(huge)} == {limit}
-        capped = listed(20)
-        monkeypatch.setattr(cohomology, "FACET_ELEMENT_LIMIT", min(map(len, capped)))
-        cohomology._facet_elements.cache_clear()
-        for short, full in zip(listed(huge), capped):
-            assert short == full[: len(short)], name
+        capped = [list(cohomology._facet_elements(S, fd, 20)) for fd in facets]
+        limit = min(map(len, capped))
+        monkeypatch.setattr(cohomology, "FACET_ELEMENT_LIMIT", limit)
+        S = build(gens[name])
+        for fd, full in zip(facets, capped):
+            assert list(cohomology._facet_elements(S, fd, huge)) == full[:limit], name
         assert zero_class(S, cert, facets, v, huge).verdict == "unknown", name
         monkeypatch.undo()
-        cohomology._facet_elements.cache_clear()
+
+
+def test_facet_lists_grow_only_as_far_as_read(monkeypatch):
+    # D3 at p = 5, window 8 and cap 10^6: every scan stops at its first
+    # witness, a few dozen elements in, and each facet's list holds just
+    # the elements its scans read, not the FACET_ELEMENT_LIMIT the cap
+    # would allow
+    read = {}
+    real = cohomology._facet_elements
+
+    def counting(S, fd, cap):
+        for k, element in enumerate(real(S, fd, cap), 1):
+            read[fd.index] = max(read.get(fd.index, 0), k)
+            yield element
+
+    monkeypatch.setattr(cohomology, "_facet_elements", counting)
+    S = build(D3_GENS)
+    cert, facets = pipeline(S)
+    e_max = theoretical_bound(cert, n_q(S, facets), 5) + 2
+    empirical_hsl(S, cert, facets, 5, 8, e_max, 10**6)
+    listed = {i: len(walk[0]) - 1 for i, walk in S._facet_walks.items()}
+    assert read and listed == read
+    assert max(listed.values()) < cohomology.FACET_ELEMENT_LIMIT
 
 
 @pytest.mark.parametrize(

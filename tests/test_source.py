@@ -226,6 +226,62 @@ def test_no_unused_imports():
     assert not unused, f"unused imports in the library: {sorted(unused)}"
 
 
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque", "bytearray"}
+MUTATORS = {"append", "add", "update", "setdefault", "extend", "insert", "pop", "popitem", "clear", "remove", "discard"}
+
+
+def _callee(node):
+    """The last name of a decorator or a call's function, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_container(node):
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    return isinstance(node, displays) or (isinstance(node, ast.Call) and _callee(node) in CONTAINER_CALLS)
+
+
+def test_no_module_level_caches():
+    # state belongs to the object it describes (a semigroup's Apéry table,
+    # memo and facet lists, a facet's Hermite form), so two semigroups or
+    # two tests in one process share none.  A cache decorator, a mutable
+    # default argument, a global statement, or a function that writes a
+    # module-level container is process-wide state
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        containers = {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and _is_container(node.value)
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.name} {fn.name}"
+            if any(_callee(d) in ("cache", "lru_cache") for d in fn.decorator_list):
+                found.append(f"{where}: cache decorator")
+            if any(d is not None and _is_container(d) for d in fn.args.defaults + fn.args.kw_defaults):
+                found.append(f"{where}: mutable default")
+            for node in ast.walk(fn):
+                target = None
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif isinstance(node, ast.AugAssign):
+                    target = node.target
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    target = node.func.value if node.func.attr in MUTATORS else None
+                elif isinstance(node, ast.Global):
+                    found.append(f"{where}: global {', '.join(node.names)}")
+                if isinstance(target, ast.Name) and target.id in containers:
+                    found.append(f"{where}: writes {target.id}")
+    # the one kept: the CLI's parser, built once per process
+    assert sorted(set(found)) == ["cli.py build_parser: cache decorator"]
+
+
 def test_random_geometry_takes_one_elimination_per_simplex(monkeypatch):
     # the random-geometry workload's cones layer, counted without a timer:
     # build's support_forms takes one dual_basis pass for its seed simplex
@@ -268,7 +324,7 @@ def test_readme_documents_the_interface():
     for parser in subcommands.choices.values():
         words += [s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings]
     words += [f"`{code}`" for code in (*range(5), cli.EXIT_BROKEN_PIPE)]
-    words += ["MAX_WINDOW_DEGREES", "FACET_ELEMENT_LIMIT", "FACET_ELEMENT_CACHE", str(cli.MILLER_RABIN_LIMIT)]
+    words += ["MAX_WINDOW_DEGREES", "FACET_ELEMENT_LIMIT", str(cli.MILLER_RABIN_LIMIT)]
     words += [f"`{key}`" for keys in OUTPUT_KEYS.values() for key in keys]
     missing = [w for w in words if w not in readme]
     assert "--window" in words and not missing, f"not in the README: {missing}"
