@@ -29,7 +29,7 @@ for gens in FIXTURES:
     for p in PRIMES:
         exact = hsl_exact_dim1(S, p)
         bound = theoretical_bound(cert, 0, p)
-        rep = empirical_hsl(S, cert, facets, p, 30, bound + 2, 10 * cert.m_q)
+        rep = empirical_hsl(S, cert, facets, p, 30)
         tight = "  <- tight" if exact == bound else ""
         print(
             f"  p={p:>2}: exact {exact}, window max {rep.empirical_max}, "

@@ -39,8 +39,7 @@ for p in (2, 3):
 print("\nwindow sweeps (radius 6):")
 for p in (2, 3, 5):
     bound = theoretical_bound(cert, n_q(S, facets), p)
-    e_max = bound + 2 if bound is not None else 6
-    rep = empirical_hsl(S, cert, facets, p, 6, e_max, cap)
+    rep = empirical_hsl(S, cert, facets, p, 6)
     shown = bound if bound is not None else "withheld (p <= N_Q)"
     print(
         f"  p={p}: bound {shown}, empirical max {rep.empirical_max}, "

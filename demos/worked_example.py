@@ -48,7 +48,7 @@ print("N_Q =", n_q(S, facets), " (every prime is safe)")
 print("\nbounds ceil(log_p m_Q) and window sweeps (radius 10):")
 for p in (2, 3, 5, 7, 53):
     bound = theoretical_bound(best, 0, p)
-    rep = empirical_hsl(S, best, facets, p, 10, bound + 2, 10 * best.m_q)
+    rep = empirical_hsl(S, best, facets, p, 10)
     print(
         f"  p={p:>2}: bound {bound}, empirical max {rep.empirical_max}, "
         f"violations {len(rep.violations)}"

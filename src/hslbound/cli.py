@@ -22,7 +22,8 @@ import sys
 from .errors import BudgetExhaustedError, EmptyInputError, NotPointedError
 from .intlinalg import MILLER_RABIN_LIMIT, is_prime
 from .semigroups import (
-    MAX_WINDOW_DEGREES, AffineSemigroup, all_facet_data, build, find_gamma, n_q, theoretical_bound,
+    MAX_WINDOW_DEGREES, AffineSemigroup, all_facet_data, build, check_window, find_gamma, n_q,
+    theoretical_bound,
 )
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -181,7 +182,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .cohomology import check_window, empirical_hsl  # loaded only by the commands that sweep
+    from .cohomology import empirical_hsl  # loaded only by the commands that sweep
 
     check_prime(args.prime)
     if args.window < 1:
@@ -195,14 +196,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cert = find_gamma(S, budget=args.budget)
-    facets = all_facet_data(S)
-    nq = n_q(S, facets)
-    bound = theoretical_bound(cert, nq, args.prime)
-    e_max = args.emax
-    if e_max is None:
-        e_max = bound + 2 if bound is not None else 10
-    cap = args.cap if args.cap is not None else 10 * cert.m_q
-    report = empirical_hsl(S, cert, facets, args.prime, args.window, e_max, cap)
+    report = empirical_hsl(S, cert, all_facet_data(S), args.prime, args.window, args.emax, args.cap)
     emit_report(report.as_dict(), args.format)
     return 4 if report.violations else 0
 

@@ -33,11 +33,11 @@ from .intlinalg import IntVector, dot, vec_add, vec_mat, vec_scale, vector
 from .semigroups import (
     AffineSemigroup,
     FacetData,
-    MAX_WINDOW_DEGREES,
     GammaCertificate,
     _check_limits,
     _contains,
     _least_exponent,
+    check_window,
     facet_witness_combo,
     member,
     n_q,
@@ -128,9 +128,7 @@ def _constructive_facet(signs, cert: GammaCertificate) -> int | None:
     return None
 
 
-# Resource limits.  A sweep's box holds at most MAX_WINDOW_DEGREES
-# degrees, a limit kept in semigroups so the CLI's help need not load
-# this module.  The capped search reads at most FACET_ELEMENT_LIMIT
+# Resource limits.  The capped search reads at most FACET_ELEMENT_LIMIT
 # elements per facet per semigroup, whatever the cap, and a search that
 # reaches the limit is truncated, so its verdict is unknown.  A full
 # list, with its heap and seen set, takes about 4 MiB on D3 (rank 3).
@@ -288,17 +286,6 @@ class OrbitReport:
     statuses: tuple[ZeroClassResult, ...]
     kind: str
     order: int | None
-
-
-def check_window(window: int, rank: int) -> None:
-    """Refuse a box [-window, window]^rank of more than MAX_WINDOW_DEGREES
-    degrees, with a ValueError that names its size."""
-    degrees = (2 * window + 1) ** rank
-    if degrees > MAX_WINDOW_DEGREES:
-        raise ValueError(
-            f"window {window} at rank {rank} spans {degrees} degrees,"
-            f" more than the limit of {MAX_WINDOW_DEGREES}"
-        )
 
 
 def _level_walk(S, cert, facets, v, signs, p: int, cap: int, top: int) -> list:
@@ -512,8 +499,8 @@ def empirical_hsl(
     facets: tuple[FacetData, ...],
     p: int,
     window: int,
-    e_max: int,
-    cap: int,
+    e_max: int | None = None,
+    cap: int | None = None,
 ) -> HslReport:
     """Sweep all degrees in [-window, window]^n and tally Frobenius orders.
 
@@ -561,8 +548,10 @@ def empirical_hsl(
 
     Visited degrees are taken in lexicographic order.  As in
     frobenius_orbit, an outside level with p^e >= m_q that zero_class
-    does not kill raises AssertionError.  Raises ValueError for p < 2, a
-    negative window, e_max or cap, or a box of more than
+    does not kill raises AssertionError.  e_max defaults to bound + 2
+    (10 where p <= N_Q withholds the bound) and cap to 10 * m_q, as in
+    `hslbound verify`.  Raises ValueError, before any sweep work, for
+    p < 2, a negative window, e_max or cap, or a box of more than
     MAX_WINDOW_DEGREES degrees.
     """
     _check_limits(p, window=window, e_max=e_max, cap=cap)
@@ -570,6 +559,10 @@ def empirical_hsl(
     width = 2 * window + 1
     nq = n_q(S, facets)
     bound = theoretical_bound(cert, nq, p)
+    if e_max is None:
+        e_max = bound + 2 if bound is not None else 10
+    if cap is None:
+        cap = 10 * cert.m_q
     thresholds = _constructive_thresholds(cert.facet_values, p, e_max)
     # facets with an invariant factor divisible by p; a boundary degree on
     # one of them is flagged when the bound is withheld

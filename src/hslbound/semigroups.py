@@ -515,12 +515,23 @@ def n_q(S: AffineSemigroup, facets: tuple[FacetData, ...] | None = None) -> int:
 MAX_WINDOW_DEGREES = 10**6  # empirical_hsl refuses a box of more degrees, (2w+1)^rank
 
 
-def _check_limits(p: int, **limits: int) -> None:
-    """Refuse p < 2, whose powers never reach m_q, and negative limits."""
+def check_window(window: int, rank: int) -> None:
+    """Refuse a box [-window, window]^rank of more than MAX_WINDOW_DEGREES
+    degrees, with a ValueError that names its size."""
+    degrees = (2 * window + 1) ** rank
+    if degrees > MAX_WINDOW_DEGREES:
+        raise ValueError(
+            f"window {window} at rank {rank} spans {degrees} degrees,"
+            f" more than the limit of {MAX_WINDOW_DEGREES}"
+        )
+
+
+def _check_limits(p: int, **limits: int | None) -> None:
+    """Refuse p < 2, whose powers never reach m_q, and negative limits; None is unset."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     for name, value in limits.items():
-        if value < 0:
+        if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

@@ -72,11 +72,10 @@ def test_criterion_3_invariant_factors():
 
 def test_criterion_4_bound_conformance():
     S, cert, facets = wedge_pipeline()
-    cap = 10 * cert.m_q
     for p in (2, 3, 5, 7):
         t0 = time.perf_counter()
         bound = theoretical_bound(cert, 0, p)
-        rep = empirical_hsl(S, cert, facets, p, 10, bound + 2, cap)
+        rep = empirical_hsl(S, cert, facets, p, 10)
         assert rep.violations == ()
         assert rep.class_counts["unknown"] == 0
         report(4, time.perf_counter() - t0, 60.0, f"p={p}: no violation of bound {bound} on window 10")
@@ -92,8 +91,7 @@ def test_criterion_5_dim1_equivalence():
         for p in (2, 3, 5, 7, 11):
             exact = hsl_exact_dim1(S, p)
             assert exact == brute_min_power_in_numerical(flat, p)
-            bound = theoretical_bound(cert, 0, p)
-            rep = empirical_hsl(S, cert, facets, p, 30, bound + 2, 10 * cert.m_q)
+            rep = empirical_hsl(S, cert, facets, p, 30)
             assert rep.empirical_max == exact
     report(5, time.perf_counter() - t0, 5.0, "rank-1 exact = brute force = window maximum, 15 cases")
 
@@ -199,7 +197,7 @@ def test_criterion_9_large_prime_bound_is_one():
     assert cert.m_q <= 47 and n_q(S, facets) == 0
     bound = theoretical_bound(cert, 0, 53)
     assert bound == 1
-    rep = empirical_hsl(S, cert, facets, 53, 10, bound + 2, 10 * cert.m_q)
+    rep = empirical_hsl(S, cert, facets, 53, 10)
     assert rep.violations == ()
     assert rep.empirical_max <= 1
     report(9, time.perf_counter() - t0, 60.0, "p=53: bound 1, empirical max <= 1 on window 10")

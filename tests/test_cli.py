@@ -270,6 +270,20 @@ def test_verify_small_char_omits_bound(tmp_path, capsys):
     assert doc["small_char_flags"]
 
 
+@pytest.mark.parametrize(
+    "doc, flags, e_max, cap",
+    [(WEDGE, (), 8, 450), (INDEX2, (), 10, 20), (WEDGE, ("--emax", "1", "--cap", "3"), 1, 3)],
+    ids=["bound-plus-2", "bound-withheld", "flags"],
+)
+def test_verify_defaults(tmp_path, capsys, doc, flags, e_max, cap):
+    # e_max = bound + 2, or 10 where p <= N_Q withholds the bound, and
+    # cap = 10 * m_Q: wedge has m_Q 45 and bound 6 at p = 2, index2 m_Q 2
+    path = write_input(tmp_path, doc)
+    code, out, _ = run(capsys, "verify", "--input", path, "--prime", "2", "--window", "2", *flags)
+    report = json.loads(out)
+    assert code == 0 and (report["e_max"], report["cap"]) == (e_max, cap)
+
+
 def test_verify_rejects_bad_window(tmp_path, capsys):
     path = write_input(tmp_path, WEDGE)
     code, _, err = run(

@@ -349,7 +349,7 @@ def test_empirical_refuses_oversized_box(request, monkeypatch, name, window):
     # the least window whose box exceeds the limit, refused before any
     # sweep work (n_q is its first step) and before the order table
     S = request.getfixturevalue(name)
-    assert (2 * window - 1) ** S.dim <= cohomology.MAX_WINDOW_DEGREES < (2 * window + 1) ** S.dim
+    assert (2 * window - 1) ** S.dim <= semigroups.MAX_WINDOW_DEGREES < (2 * window + 1) ** S.dim
     cert, facets = pipeline(S)
 
     def no_work(*args):
@@ -365,7 +365,7 @@ def test_rank1_box_at_the_limit(ns35, ns35_ctx):
     # so its cost is the one-byte order table: no per-x multiples of the
     # last form column are built
     cert, facets = ns35_ctx
-    window = (cohomology.MAX_WINDOW_DEGREES - 1) // 2
+    window = (semigroups.MAX_WINDOW_DEGREES - 1) // 2
     tracemalloc.start()
     try:
         rep = empirical_hsl(ns35, cert, facets, 2, window, 5, 10 * cert.m_q)
@@ -410,7 +410,7 @@ def test_empirical_bound_is_tight_on_index2(index2, index2_ctx):
     cert, facets = index2_ctx
     for p in (3, 5):
         bound = theoretical_bound(cert, 2, p)
-        rep = empirical_hsl(index2, cert, facets, p, 8, bound + 2, 10 * cert.m_q)
+        rep = empirical_hsl(index2, cert, facets, p, 8)
         assert rep.empirical_max == bound == 1
         assert rep.violations == ()
 
@@ -467,6 +467,17 @@ def test_empirical_rejects_negative_limits(wedge, wedge_ctx, e_max, cap):
     cert, facets = wedge_ctx
     with pytest.raises(ValueError, match="must be nonnegative"):
         empirical_hsl(wedge, cert, facets, 2, 2, e_max, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_empirical_defaults(index2, index2_ctx, p):
+    # unset, e_max is bound + 2 (10 where p <= N_Q withholds the bound)
+    # and cap is 10 * m_q
+    cert, facets = index2_ctx
+    bound = theoretical_bound(cert, n_q(index2, facets), p)
+    e_max = 10 if bound is None else bound + 2
+    explicit = empirical_hsl(index2, cert, facets, p, 6, e_max, 10 * cert.m_q)
+    assert empirical_hsl(index2, cert, facets, p, 6).as_dict() == explicit.as_dict()
 
 
 def test_empirical_small_characteristic(index2, index2_ctx):
@@ -862,8 +873,7 @@ def test_facet_lists_grow_only_as_far_as_read(monkeypatch):
     monkeypatch.setattr(cohomology, "_facet_elements", counting)
     S = build(D3_GENS)
     cert, facets = pipeline(S)
-    e_max = theoretical_bound(cert, n_q(S, facets), 5) + 2
-    empirical_hsl(S, cert, facets, 5, 8, e_max, 10**6)
+    empirical_hsl(S, cert, facets, 5, 8, cap=10**6)
     listed = {i: len(walk[0]) - 1 for i, walk in S._facet_walks.items()}
     assert read and listed == read
     assert max(listed.values()) < cohomology.FACET_ELEMENT_LIMIT
@@ -933,9 +943,7 @@ def test_sweep_work_pinned(request, monkeypatch):
     for name, p, window in SWEEP_WORK_INPUTS:
         S = sweep_input(request, name)
         cert, facets = pipeline(S)
-        bound = theoretical_bound(cert, n_q(S, facets), p)
-        e_max = 10 if bound is None else bound + 2
-        cases.append((S, cert, facets, p, window, e_max, 10 * cert.m_q))
+        cases.append((S, cert, facets, p, window))
     calls = Counter()
 
     def counting(name, real):
