@@ -413,34 +413,21 @@ class HslReport:
         }
 
 
-def _constructive_thresholds(facet_values, p: int, e_max: int):
-    """Rows ceil(u_i(gamma) / p^e) for e = 0..min(e_max, e_s).
+def _constructive_level(signs, facet_values, p: int, e_max: int) -> int:
+    """The least e with p^e * s_i >= u_i(gamma) for some i, from which the
+    constructive witness kills the level, or e_max + 1 if that is past
+    e_max.  signs must have some s_i > 0 or some s_i >= u_i(gamma).
 
-    Level e of a degree with signs s is constructive (some facet i has
-    p^e * s_i >= u_i(gamma)) iff s_i >= row_e[i] for some i, because s_i
-    is an integer.  The facet values are nonnegative (gamma lies in the
-    cone), so once p^e >= m_q = max u_i(gamma) every row is the same 0/1
-    row and the table ends at that level e_s: it holds at most
-    m * (min(e_max, ceil(log_p m_q)) + 1) integers.
+    It is 0 when some s_i >= u_i(gamma) (s_i = u_i(gamma) = 0 included).
+    Otherwise only facets with s_i > 0 can pass, facet i from the least e
+    with p^e >= ceil(u_i(gamma) / s_i), so the level is the least exponent
+    of m = min ceil(u_i(gamma) / s_i).  Some s_i >= 1, so m <= m_q and the
+    level is at most ceil(log_p m_q), the paper's bound.
     """
-    top = max(facet_values)
-    rows = []
-    power = 1
-    for _ in range(e_max + 1):
-        rows.append(tuple(-(-f // power) for f in facet_values))
-        if power >= top:
-            break
-        power *= p
-    return tuple(rows)
-
-
-def _constructive_level(signs, thresholds, e_max: int) -> int:
-    """The least e <= e_max at which the constructive facet test passes on
-    p^e * signs, or e_max + 1; levels past the table repeat its last row."""
-    for e, row in enumerate(thresholds):
-        if any(map(ge, signs, row)):
-            return e
-    return e_max + 1
+    if any(map(ge, signs, facet_values)):
+        return 0
+    m = min(-(-f // s) for s, f in zip(signs, facet_values) if s > 0)
+    return min(_least_exponent(m, p), e_max + 1)
 
 
 UNSET = 255  # an order-table byte with no order stored
@@ -513,9 +500,9 @@ def empirical_hsl(
     s(x) = s0 + x * L, with s0 a sum of multiples of the other form
     columns and L the last column.  So the interior of -sigma, the
     non-positive set and the degrees whose constructive level e_c (the
-    least e with some p^e s_i >= u_i(gamma), read from the thresholds
-    ceil(u_i(gamma) / p^e)) exceeds lim are intervals, with one floor or
-    ceiling division per form.  The row splits into:
+    least e with some p^e s_i >= u_i(gamma), _constructive_level) exceeds
+    lim are intervals, with one floor or ceiling division per form: e_c
+    <= lim iff some s_i >= ceil(u_i(gamma) / p^lim).  The row splits into:
 
     * the interior (every s_i < 0): not nilpotent; counted;
     * outside -sigma with e_c <= lim, lim as the row starts: counted;
@@ -563,7 +550,6 @@ def empirical_hsl(
         e_max = bound + 2 if bound is not None else 10
     if cap is None:
         cap = 10 * cert.m_q
-    thresholds = _constructive_thresholds(cert.facet_values, p, e_max)
     # facets with an invariant factor divisible by p; a boundary degree on
     # one of them is flagged when the bound is withheld
     small_char = tuple(
@@ -574,11 +560,11 @@ def empirical_hsl(
     emp_max = 0
     # an outside order at most lim = min(emp_max, top) cannot change the
     # report; top < UNSET, so an UNSET byte never passes known <= lim
-    top = min(len(thresholds) - 1, UNSET - 1)  # len - 1 <= e_max
+    top = min(e_max, _least_exponent(cert.m_q, p), UNSET - 1)
     if bound is not None:
         top = min(top, bound)
     lim = 0
-    skip = thresholds[0]  # e_c <= lim iff some s_i >= skip[i]
+    skip = cert.facet_values  # e_c <= lim iff some s_i >= skip[i]
     violations = []
     flags = []
     coords = range(-window, window + 1)
@@ -636,7 +622,7 @@ def empirical_hsl(
                     if bound is None and any(signs[i] == 0 for i in small_char):
                         flags.append(v)
                 else:
-                    stop = _constructive_level(signs, thresholds, e_max)
+                    stop = _constructive_level(signs, cert.facet_values, p, e_max)
                 statuses = _level_walk(S, cert, facets, v, signs, p, cap, stop)
                 if statuses[-1].is_zero:
                     kind, order = "nilpotent", len(statuses) - 1
@@ -652,8 +638,9 @@ def empirical_hsl(
                 if kind == "nilpotent":
                     if order > emp_max:
                         emp_max = order
-                        lim = min(emp_max, top)
-                        skip = thresholds[lim]
+                        if lim < top:  # lim = emp_max before, so lim rises
+                            lim = min(emp_max, top)
+                            skip = tuple(-(-f // p**lim) for f in cert.facet_values)
                     if bound is not None and order > bound:
                         violations.append((v, order))
     return HslReport(
@@ -680,7 +667,7 @@ def hsl_exact_dim1(S: AffineSemigroup, p: int) -> int:
     _check_limits(p)
     if S.dim != 1:
         raise DimensionMismatchError("exact formula needs a rank-1 semigroup")
-    w = (1,) if dot(S.support_forms[0], (1,)) > 0 else (-1,)
+    w = S.support_forms[0]  # (1,) or (-1,): the lattice generator in the cone
     e = 0
     power = 1
     while not member(S, vec_scale(w, power)):

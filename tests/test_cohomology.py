@@ -709,14 +709,16 @@ def test_sweep_work_matches_reference_chain(request, monkeypatch, name, p, windo
         assert [d for d, _ in calls] == chains[v], v
         assert sweep_orders[v] == orders[v], v
     bound = theoretical_bound(cert, n_q(S, facets), p)
-    thresholds = cohomology._constructive_thresholds(cert.facet_values, p, e_max)
     running_max, row = 0, None
     for region, v, *_ in sweep:
         if v[:-1] != row:  # the row split reads lim as the row starts
             row, lim = v[:-1], min(running_max, e_max, e_max if bound is None else bound)
         if region == "outside":
-            level = cohomology._constructive_level(sign_vector(S.cone, v), thresholds, e_max)
-            assert level > lim, (v, level, lim)
+            # the constructive level by brute force: no level up to lim passes
+            signs = sign_vector(S.cone, v)
+            assert not any(
+                p**e * s >= f for e in range(lim + 1) for s, f in zip(signs, cert.facet_values)
+            ), (v, lim)
         running_max = max(running_max, sweep_orders[v] or 0)
 
 
@@ -1046,8 +1048,8 @@ def test_boundary_orders_match_smith_formula_on_random_semigroups():
 def test_row_runs_against_brute_force():
     # one row of signs base + x * column, |x| <= window: the interior count,
     # the boundary positions and the visited outside positions (outside
-    # -sigma, not constructive at level 0), against neg_region and
-    # _constructive_level degree by degree
+    # -sigma, not constructive at level 0: no s_i >= u_i(gamma)), against
+    # neg_region degree by degree
     rng = random.Random(23)
     for _ in range(3000):
         m = rng.randint(1, 4)
@@ -1055,13 +1057,12 @@ def test_row_runs_against_brute_force():
         base = tuple(rng.randint(-12, 12) for _ in range(m))
         column = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(m))
         values = tuple(rng.choice((0, 1, rng.randint(0, 20))) for _ in range(m))
-        thresholds = cohomology._constructive_thresholds(values, 2, 3)
         interior, nonpositive, runs = cohomology._row_runs(base, column, window, values)
         kinds = {}
         for x in range(-window, window + 1):
             signs = tuple(b + x * c for b, c in zip(base, column))
             kinds[x] = neg_region(signs).kind
-            if kinds[x] == "outside_neg" and cohomology._constructive_level(signs, thresholds, 3) == 0:
+            if kinds[x] == "outside_neg" and any(map(ge, signs, values)):
                 kinds[x] = "order_0"
         case = (base, column, window, values)
         visited = [(boundary, x) for boundary, run in runs for x in run]
@@ -1075,7 +1076,8 @@ def test_row_runs_against_brute_force():
 
 def test_constructive_level_against_brute_force():
     # the least e <= e_max with p^e * s_i >= f_i for some i, or e_max + 1,
-    # read off the bounded threshold table
+    # on signs with some s_i > 0 (an outside degree's); it is at most
+    # ceil(log_p max f_i), the paper's bound, since some s_i >= 1
     rng = random.Random(17)
     for _ in range(3000):
         p = rng.choice((2, 3, 5, 7))
@@ -1083,10 +1085,8 @@ def test_constructive_level_against_brute_force():
         m = rng.randint(1, 4)
         values = tuple(rng.choice((0, 1, rng.randint(0, 600))) for _ in range(m))
         signs = tuple(rng.randint(-4, 40) for _ in range(m))
-        rows = cohomology._constructive_thresholds(values, p, e_max)
-        assert len(rows) <= min(e_max, cohomology._least_exponent(max(values), p)) + 1
-        for e, row in enumerate(rows):
-            assert row == tuple(-(-f // p**e) for f in values)
+        if max(signs) <= 0:
+            continue
         brute = next(
             (
                 e
@@ -1095,4 +1095,6 @@ def test_constructive_level_against_brute_force():
             ),
             e_max + 1,
         )
-        assert cohomology._constructive_level(signs, rows, e_max) == brute, (p, e_max, values, signs)
+        level = cohomology._constructive_level(signs, values, p, e_max)
+        assert level == brute, (p, e_max, values, signs)
+        assert level <= cohomology._least_exponent(max(values), p), (p, e_max, values, signs)

@@ -172,6 +172,20 @@ def test_perfbench_random_geometry_check_holds(tmp_path):
     assert len(ops) == len(geometry.results) == len(geometry.items)
 
 
+def test_perfbench_window_sweep_worker_holds(tmp_path, monkeypatch):
+    # the window-sweep workload as a benchmark pass runs it: its digest,
+    # violation and unknown gates and its ZeroClassResult.recheck sample
+    # must hold here, not only in a benchmark run.  The worker imports
+    # workloads by name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    sweep = load_perfbench("worker").WindowSweep(0, 0, tmp_path)
+    sweep.setup()
+    ops = sweep.run(None)
+    sweep.check()
+    assert not sweep.failures
+    assert len(ops) == len(sweep.cases)
+
+
 def test_no_test_only_definitions():
     # every top-level function or class of the library is read by the
     # library as a name, or by the library, a demo or the benchmark as an
